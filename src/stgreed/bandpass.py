@@ -147,13 +147,14 @@ def _gaussian_window(half_width):
 _MS_WINDOW_1D = _gaussian_window(7)
 
 
-def spatial_ms(frame):
-    """Mean-subtracted coefficients: frame minus its Gaussian-weighted local mean.
+def spatial_ms(frames):
+    """Mean-subtracted coefficients: frames minus their Gaussian-weighted local mean.
 
     15x15 circularly symmetric Gaussian window (sigma = 7/3), mirror
-    boundary handling.
+    boundary handling. Filters over the last two axes, so a single (H, W)
+    frame and a (T, H, W) stack are both accepted.
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    local_mean = convolve1d(frame, _MS_WINDOW_1D, axis=0, mode="reflect")
-    local_mean = convolve1d(local_mean, _MS_WINDOW_1D, axis=1, mode="reflect")
-    return frame - local_mean
+    frames = np.asarray(frames, dtype=np.float64)
+    local_mean = convolve1d(frames, _MS_WINDOW_1D, axis=-2, mode="reflect")
+    local_mean = convolve1d(local_mean, _MS_WINDOW_1D, axis=-1, mode="reflect")
+    return frames - local_mean

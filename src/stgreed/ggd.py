@@ -8,12 +8,6 @@ BETA_MAX = 10.0
 
 
 @dataclass(frozen=True)
-class GgdParams:
-    alpha: float  # scale, units of luma
-    beta: float   # shape, clamped to [BETA_MIN, BETA_MAX]
-
-
-@dataclass(frozen=True)
 class NoisyMoments:
     variance: float
     kurtosis: float

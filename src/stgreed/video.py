@@ -108,7 +108,9 @@ def load_y4m(path):
     luma_bytes = width * height * bps
     frame_bytes = luma_bytes + (0 if mono else _chroma_plane_bytes(width, height) * bps)
 
-    frames = []
+    # Locate every frame first, so the luma planes decode straight into one
+    # preallocated stack instead of a list that np.stack would copy.
+    offsets = []
     pos = nl + 1
     while pos < len(data):
         fnl = data.find(b"\n", pos)
@@ -119,17 +121,20 @@ def load_y4m(path):
             raise VideoFormatError(
                 f"{path}: truncated frame payload at byte {payload}: "
                 f"expected {frame_bytes} bytes, got {len(data) - payload}")
-        raw = data[payload:payload + luma_bytes]
-        if ten_bit:
-            plane = np.frombuffer(raw, dtype="<u2").astype(np.float64) * (255.0 / 1023.0)
-        else:
-            plane = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-        frames.append(plane.reshape(height, width))
+        offsets.append(payload)
         pos = payload + frame_bytes
 
-    if not frames:
+    if not offsets:
         raise VideoFormatError(f"{path}: stream contains no frames")
-    return LumaVideo(np.stack(frames), fps)
+    frames = np.empty((len(offsets), height, width), dtype=np.float64)
+    for t, payload in enumerate(offsets):
+        plane = np.frombuffer(data, dtype="<u2" if ten_bit else np.uint8,
+                              count=width * height, offset=payload).reshape(height, width)
+        if ten_bit:
+            np.multiply(plane, 255.0 / 1023.0, out=frames[t])
+        else:
+            frames[t] = plane
+    return LumaVideo(frames, fps)
 
 
 def save_y4m(video, path):
@@ -177,20 +182,36 @@ def load_raw_yuv(path, width, height, fps, pixel_format="yuv420p"):
 
 
 def downsample(video, s):
-    """Downsample spatially by 2**s using repeated 2x2 average pooling.
+    """Downsample spatially by 2**s: the mean of each 2**s x 2**s block.
 
-    Odd trailing rows/columns are truncated at each pass; fps is unchanged.
+    This equals s passes of 2x2 average pooling, each truncating an odd
+    trailing row/column (the output is (H >> s) x (W >> s)), up to rounding.
+    Frames are pooled one at a time, so temporaries stay one frame in size;
+    fps is unchanged.
     """
     if s < 0:
         raise ValueError("scale exponent must be >= 0")
-    frames = video.frames
-    for _ in range(int(s)):
-        t, h, w = frames.shape
-        h2, w2 = h // 2, w // 2
-        if h2 < 1 or w2 < 1:
-            raise ValueError(f"downsampling would shrink {h}x{w} below 1x1")
-        frames = frames[:, :2 * h2, :2 * w2].reshape(t, h2, 2, w2, 2).mean(axis=(2, 4))
-    return LumaVideo(frames, video.fps)
+    s = int(s)
+    if s == 0:
+        return LumaVideo(video.frames, video.fps)
+    t, h, w = video.frames.shape
+    k = 1 << s
+    h2, w2 = h >> s, w >> s
+    if h2 < 1 or w2 < 1:
+        raise ValueError(f"downsampling by {k} would shrink {h}x{w} below 1x1")
+    out = np.empty((t, h2, w2), dtype=np.float64)
+    for i, frame in enumerate(video.frames):
+        rows = frame[:h2 * k, :w2 * k].reshape(h2, k, w2 * k).sum(axis=1)
+        np.divide(rows.reshape(h2, w2, k).sum(axis=2), k * k, out=out[i])
+    return LumaVideo(out, video.fps)
+
+
+def kept_indices(n_ref, ref_fps, dist_fps):
+    """Reference frames kept by frame dropping to dist_fps: floor(i * ref_fps / dist_fps)."""
+    ratio = _as_fraction(ref_fps) / _as_fraction(dist_fps)
+    p, q = ratio.numerator, ratio.denominator
+    # i * p // q < n_ref  <=>  i < n_ref * q / p
+    return [i * p // q for i in range(-(-n_ref * q // p))]
 
 
 def make_pseudo_reference(ref, dist_fps):
@@ -202,15 +223,6 @@ def make_pseudo_reference(ref, dist_fps):
     dist_fps = _as_fraction(dist_fps)
     if dist_fps > ref.fps:
         raise ValueError(f"distorted fps {dist_fps} exceeds reference fps {ref.fps}")
-    ratio = ref.fps / dist_fps
-    if ratio == 1:
-        return PseudoReference(LumaVideo(ref.frames, dist_fps), list(range(ref.num_frames)))
-    kept = []
-    i = 0
-    while True:
-        src = int(i * ratio)  # Fraction floor
-        if src >= ref.num_frames:
-            break
-        kept.append(src)
-        i += 1
-    return PseudoReference(LumaVideo(ref.frames[kept].copy(), dist_fps), kept)
+    kept = kept_indices(ref.num_frames, ref.fps, dist_fps)
+    frames = ref.frames if dist_fps == ref.fps else ref.frames[kept]
+    return PseudoReference(LumaVideo(frames, dist_fps), kept)

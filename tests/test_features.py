@@ -190,3 +190,16 @@ def test_config_fingerprint_distinguishes():
     assert a.fingerprint() == GreedConfig().fingerprint()
     assert a.fingerprint() != GreedConfig(wavelet="haar").fingerprint()
     assert a.fingerprint() != GreedConfig(noise_var=0.2).fingerprint()
+
+
+def test_feature_cache_skips_unterminated_final_record(tmp_path):
+    cfg = GreedConfig()
+    feats = type("F", (), {"values": np.arange(16.0), "config": cfg})()
+    path = tmp_path / "cache.jsonl"
+    append_cache_record(path, "r.y4m", "d.y4m", "c01", feats)
+    with open(path, "a") as f:  # a write cut short by a crash
+        f.write('{"fingerprint": "%s", "ref": "r.y4m", "di' % cfg.fingerprint())
+    with pytest.warns(UserWarning, match=":2: skipping unterminated"):
+        cache = read_cache(path, fingerprint=cfg.fingerprint())
+    assert set(cache) == {("r.y4m", "d.y4m")}
+    np.testing.assert_array_equal(cache[("r.y4m", "d.y4m")]["values"], np.arange(16.0))

@@ -1,0 +1,116 @@
+"""compute_features against the per-scale, per-frame pipeline it replaced.
+
+The oracle below pools by repeated 2x2 halving at every scale, pools a
+full-resolution pseudo-reference copy separately, and walks every frame in
+Python for spatial filtering, block entropies and index pooling. The
+library pools each video once, indexes the pooled reference for the pseudo
+reference and works on whole stacks; only the rounding of sums may differ.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from stgreed import ggd
+from stgreed.bandpass import build_packet_filters, spatial_ms, temporal_filter
+from stgreed.features import (EntropyField, GreedConfig, average_reference_entropies,
+                              compute_features)
+from stgreed.video import LumaVideo
+
+
+def _halve_repeatedly(frames, s):
+    for _ in range(s):
+        t, h, w = frames.shape
+        h2, w2 = h // 2, w // 2
+        frames = frames[:, :2 * h2, :2 * w2].reshape(t, h2, 2, w2, 2).mean(axis=(2, 4))
+    return frames
+
+
+def _kept(n_ref, ref_fps, dist_fps):
+    ratio = Fraction(ref_fps) / Fraction(dist_fps)
+    kept, i = [], 0
+    while int(i * ratio) < n_ref:
+        kept.append(int(i * ratio))
+        i += 1
+    return kept
+
+
+def _pseudo_reference_copy(frames, ref_fps, dist_fps):
+    return frames[_kept(frames.shape[0], ref_fps, dist_fps)].copy()
+
+
+def _block_entropies_per_frame(frames, noise_var, patch):
+    centered = frames - frames.mean(axis=(1, 2), keepdims=True)
+    m2 = (centered * centered).mean(axis=(1, 2))
+    m4 = (centered ** 4).mean(axis=(1, 2))
+    values, betas = [], []
+    rows, cols = frames.shape[1] // patch, frames.shape[2] // patch
+    for t in range(frames.shape[0]):
+        kurt = m4[t] / (m2[t] * m2[t]) if m2[t] > 0 else 0.0
+        beta = ggd.beta_from_kurtosis(ggd.noisy_moments(m2[t], kurt, noise_var).kurtosis)
+        betas.append(beta)
+        blocks = frames[t, :rows * patch, :cols * patch].reshape(rows, patch, cols, patch)
+        mean = blocks.mean(axis=(1, 3))
+        var_p = ((blocks * blocks).mean(axis=(1, 3)) - mean * mean).ravel()
+        alpha = np.sqrt(var_p + noise_var) * math.sqrt(
+            ggd.gamma_fn(1.0 / beta) / ggd.gamma_fn(3.0 / beta))
+        h = ggd.ggd_entropy(1.0, beta) + np.log(alpha)
+        values.append(np.log1p(var_p + noise_var) * h)
+    return EntropyField(np.array(values), (rows, cols), np.array(betas))
+
+
+def _oracle_features(ref, dist, cfg):
+    bank = build_packet_filters(cfg.wavelet, cfg.levels)
+    ratio = ref.fps / dist.fps
+    videos = (ref.frames, _pseudo_reference_copy(ref.frames, ref.fps, dist.fps), dist.frames)
+    out, prev_s = [], 0
+    for s in sorted(cfg.scales):
+        videos = tuple(_halve_repeatedly(v, s - prev_s) for v in videos)
+        prev_s = s
+        r, p, d = videos
+
+        def spatial(frames):
+            ms = np.stack([spatial_ms(frames[t]) for t in range(frames.shape[0])])
+            return _block_entropies_per_frame(ms, cfg.noise_var, cfg.patch_size)
+
+        theta_r, theta_d = spatial(r), spatial(d)
+        n = min(theta_d.values.shape[0], int(theta_r.values.shape[0] / ratio))
+        avg = average_reference_entropies(theta_r, ratio, n_out=n)
+        out.append(np.mean([np.mean(np.abs(theta_d.values[t] - avg.values[t]))
+                            for t in range(n)]))
+
+        for k, taps in enumerate(bank.filters):
+            eps_r, eps_p, eps_d = (
+                _block_entropies_per_frame(temporal_filter(v, taps, k).coeffs,
+                                           cfg.noise_var, cfg.patch_size)
+                for v in (r, p, d))
+            n = min(eps_p.values.shape[0], eps_d.values.shape[0],
+                    int(eps_r.values.shape[0] / ratio))
+            avg = average_reference_entropies(eps_r, ratio, n_out=n)
+            per_frame = []
+            for t in range(n):
+                term = ((1.0 + np.abs(eps_d.values[t] - eps_p.values[t]))
+                        * (avg.values[t] + 1.0) / (eps_p.values[t] + 1.0) - 1.0)
+                per_frame.append(np.mean(np.abs(term)))
+            out.append(np.mean(per_frame))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dist_fps", [120, 60, 82])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_compute_features_matches_per_frame_oracle(dist_fps, jobs):
+    rng = np.random.default_rng(dist_fps)
+    # 10-bit-like (non-integer on the 8-bit scale) frames with odd H and W.
+    ref = LumaVideo(rng.integers(0, 1024, size=(24, 83, 101)) * (255.0 / 1023.0), 120)
+    dist_frames = ref.frames[_kept(24, 120, dist_fps)]
+    dist_frames = np.clip(dist_frames + rng.normal(0, 4.0, size=dist_frames.shape), 0, 255)
+    dist = LumaVideo(dist_frames, dist_fps)
+    cfg = GreedConfig(scales=(2, 3))
+
+    got = compute_features(ref, dist, cfg, jobs=jobs).values
+    want = _oracle_features(ref, dist, cfg)
+    assert got.shape == want.shape == (16,)
+    assert np.all(want > 0)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)

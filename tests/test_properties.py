@@ -1,0 +1,64 @@
+"""Invariants of pooling, frame dropping and self-scoring, checked as properties."""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from stgreed.features import GreedConfig, compute_features
+from stgreed.video import LumaVideo, downsample, kept_indices, make_pseudo_reference
+
+_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def videos(draw, min_frames=1, max_frames=6, min_side=1, max_side=70):
+    t = draw(st.integers(min_frames, max_frames))
+    h = draw(st.integers(min_side, max_side))
+    w = draw(st.integers(min_side, max_side))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # 10-bit codes on the 8-bit scale: non-integer samples in [0, 255].
+    frames = rng.integers(0, 1024, size=(t, h, w)) * (255.0 / 1023.0)
+    return LumaVideo(frames, draw(st.sampled_from([24, 30, 60, 120])))
+
+
+@_SETTINGS
+@given(videos(), st.integers(0, 6))
+def test_one_shot_pooling_equals_repeated_halving(v, s):
+    assume((v.height >> s) >= 1 and (v.width >> s) >= 1)
+    halved = v
+    for _ in range(s):
+        halved = downsample(halved, 1)
+    got = downsample(v, s)
+    assert got.frames.shape == (v.num_frames, v.height >> s, v.width >> s)
+    np.testing.assert_allclose(got.frames, halved.frames, rtol=1e-12, atol=0)
+
+
+@_SETTINGS
+@given(videos(max_frames=30, min_side=8), st.integers(1, 120), st.integers(0, 3))
+def test_frame_dropping_commutes_with_pooling(v, dist_fps, s):
+    dist_fps = Fraction(min(dist_fps, v.fps))
+    pr = make_pseudo_reference(v, dist_fps)
+    np.testing.assert_array_equal(downsample(pr.video, s).frames,
+                                  downsample(v, s).frames[pr.kept_indices])
+
+
+@_SETTINGS
+@given(st.integers(1, 500), st.integers(1, 240), st.integers(1, 240))
+def test_kept_indices_is_floor_rule(n_ref, a, b):
+    ref_fps, dist_fps = max(a, b), min(a, b)
+    ratio = Fraction(ref_fps, dist_fps)
+    expect, i = [], 0
+    while int(i * ratio) < n_ref:
+        expect.append(int(i * ratio))
+        i += 1
+    assert kept_indices(n_ref, ref_fps, dist_fps) == expect
+
+
+@settings(max_examples=15, deadline=None)
+@given(videos(min_frames=2, max_frames=10, min_side=20, max_side=40))
+def test_self_score_is_zero(v):
+    feats = compute_features(v, v, GreedConfig(wavelet="haar", scales=(1, 2)))
+    assert feats.values.shape == (16,)
+    assert np.all(feats.values == 0.0)

@@ -110,6 +110,19 @@ def test_load_y4m_ten_bit(tmp_path):
     np.testing.assert_allclose(v.frames, 255.0)
 
 
+def test_load_y4m_ten_bit_frames_in_order(tmp_path):
+    rng = np.random.default_rng(11)
+    codes = rng.integers(0, 1024, size=(3, 5, 7)).astype("<u2")
+    chroma = np.full(2 * 3 * 4, 512, dtype="<u2")  # odd H/W: ceil-sized planes
+    path = tmp_path / "v.y4m"
+    with open(path, "wb") as f:
+        f.write(b"YUV4MPEG2 W7 H5 F120:1 C420p10\n")
+        for plane in codes:
+            f.write(b"FRAME\n" + plane.tobytes() + chroma.tobytes())
+    v = load_y4m(path)
+    np.testing.assert_array_equal(v.frames, codes.astype(np.float64) * (255.0 / 1023.0))
+
+
 def test_downsample_constant():
     v = LumaVideo(np.full((2, 16, 16), 7.0), 30)
     for s in (1, 2, 3):
