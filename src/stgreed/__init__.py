@@ -9,7 +9,7 @@ from .ggd import (BETA_MAX, BETA_MIN, NoisyMoments,
                   ggd_entropy, ggd_kurtosis, noisy_moments)
 from .svr import SvrModel, grid_search, load_model, predict, save_model, train_svr
 from .evaluate import (EvalReport, LogisticParams, dump_histogram, hfr_vmaf,
-                       krocc, plcc_rmse, run_protocol, srocc)
+                       krocc, plcc_rmse, run_protocol, srocc, train_model)
 from .video import (LumaVideo, PseudoReference, VideoFormatError, downsample,
                     load_raw_yuv, load_y4m, make_pseudo_reference, save_y4m)
 

@@ -33,6 +33,7 @@ _WAVELETS = {
     "db2": (_DB2_LO, _DB2_HI),
     "bior2.2": (_BIOR22_LO, _BIOR22_HI),
 }
+WAVELETS = tuple(_WAVELETS)
 
 
 @dataclass(frozen=True)
@@ -125,14 +126,9 @@ def temporal_filter(video_or_frames, taps, subband_index=0):
     if len(taps) > 4 * n:
         raise ValueError(f"filter of length {len(taps)} too long for {n} frames")
 
-    length = len(taps)
-    delay = length // 2
-    ext = np.pad(frames, ((length - 1, length - 1), (0, 0), (0, 0)), mode="symmetric")
-    # out[t] = sum_m taps[m] * ext_frames(t + delay - m), frames[t] == ext[t + length - 1]
-    out = np.zeros(frames.shape, dtype=np.float64)
-    for m, c in enumerate(taps):
-        start = length - 1 + delay - m
-        out += c * ext[start:start + n]
+    # reflect mode is the half-sample mirror; convolve1d centres the taps on
+    # length // 2, which is the group-delay compensation.
+    out = convolve1d(np.asarray(frames, dtype=np.float64), taps, axis=0, mode="reflect")
     return SubbandStack(subband_index, out)
 
 

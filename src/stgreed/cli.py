@@ -5,10 +5,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import evaluate, svr
-from .bandpass import build_packet_filters, temporal_filter
+from .bandpass import WAVELETS, build_packet_filters, temporal_filter
 from .features import (GreedConfig, append_cache_record, compute_features,
                        read_cache)
 from .video import VideoFormatError, downsample, load_raw_yuv, load_y4m
@@ -18,15 +16,20 @@ class FingerprintMismatch(Exception):
     pass
 
 
+def _scales(text):
+    return tuple(int(s) for s in text.split(","))
+
+
 def _add_config_args(p):
-    p.add_argument("--wavelet", default="bior2.2", choices=["haar", "db2", "bior2.2"],
+    p.add_argument("--wavelet", default=GreedConfig.wavelet, choices=WAVELETS,
                    help="temporal wavelet filter")
-    p.add_argument("--scales", default="4,5",
+    p.add_argument("--scales", type=_scales, default=GreedConfig.scales,
                    help="comma-separated spatial downsampling exponents")
-    p.add_argument("--noise-var", type=float, default=0.1,
+    p.add_argument("--noise-var", type=float, default=GreedConfig.noise_var,
                    help="neural noise variance")
-    p.add_argument("--patch", type=int, default=5, help="patch size in pixels")
-    p.add_argument("--levels", type=int, default=3,
+    p.add_argument("--patch", type=int, default=GreedConfig.patch_size,
+                   help="patch size in pixels")
+    p.add_argument("--levels", type=int, default=GreedConfig.levels,
                    help="wavelet packet decomposition depth")
 
 
@@ -40,8 +43,7 @@ def _add_video_args(p):
 
 
 def _config(args):
-    scales = tuple(int(s) for s in args.scales.split(","))
-    return GreedConfig(wavelet=args.wavelet, scales=scales,
+    return GreedConfig(wavelet=args.wavelet, scales=args.scales,
                        noise_var=args.noise_var, patch_size=args.patch,
                        levels=args.levels)
 
@@ -59,18 +61,15 @@ def _load_video(path, args, fps_override=None):
                         fps_override or args.fps, args.pixel_format)
 
 
-def _cache_path(arg_value):
-    if arg_value:
-        return arg_value
-    cache_dir = os.environ.get("GREED_CACHE_DIR", ".")
-    return os.path.join(cache_dir, "greed_features.jsonl")
+def _pair_features(args, cfg):
+    ref = _load_video(args.ref, args)
+    dist = _load_video(args.dist, args, fps_override=args.dist_fps)
+    return compute_features(ref, dist, cfg, jobs=args.jobs)
 
 
 def cmd_features(args):
     cfg = _config(args)
-    ref = _load_video(args.ref, args)
-    dist = _load_video(args.dist, args, fps_override=args.dist_fps)
-    feats = compute_features(ref, dist, cfg, jobs=args.jobs)
+    feats = _pair_features(args, cfg)
     if args.format == "csv":
         print(",".join(repr(float(v)) for v in feats.values))
     else:
@@ -90,39 +89,23 @@ def cmd_score(args):
         raise FingerprintMismatch(
             f"model was trained with config {model.fingerprint}, "
             f"current config is {cfg.fingerprint()}")
-    ref = _load_video(args.ref, args)
-    dist = _load_video(args.dist, args, fps_override=args.dist_fps)
-    feats = compute_features(ref, dist, cfg, jobs=args.jobs)
-    print(repr(svr.predict(model, feats.values)))
+    print(repr(svr.predict(model, _pair_features(args, cfg).values)))
     return 0
 
 
 def _load_dataset(args, cfg):
-    rows = evaluate.read_manifest(args.manifest)
-    features = read_cache(args.cache, fingerprint=cfg.fingerprint())
-    missing = [(r.ref, r.dist) for r in rows if (r.ref, r.dist) not in features]
-    if missing:
-        listing = "\n".join(f"  {ref} / {dist}" for ref, dist in missing)
-        raise ValueError(f"cache is missing features for {len(missing)} pairs:\n{listing}")
-    return rows, features
+    return (evaluate.read_manifest(args.manifest),
+            read_cache(args.cache, fingerprint=cfg.fingerprint()))
 
 
 def cmd_train(args):
     cfg = _config(args)
     rows, features = _load_dataset(args, cfg)
-    contents = sorted({r.content_id for r in rows})
-    if len(contents) < 3:
-        raise ValueError("need at least 3 contents to tune hyperparameters")
-    rng = np.random.default_rng([args.seed, 0])
-    train, val, test = evaluate.split_contents(contents, rng)
-    train = train | test  # internal split only needs train/val
-    X_tr, y_tr = evaluate._gather(rows, features, train)
-    X_val, y_val = evaluate._gather(rows, features, val)
-    hp = svr.grid_search((X_tr, y_tr), (X_val, y_val))
-    X_all, y_all = evaluate._gather(rows, features, set(contents))
-    model = svr.train_svr(X_all, y_all, hp, fingerprint=cfg.fingerprint())
+    model = evaluate.train_model(rows, features, seed=args.seed,
+                                 fingerprint=cfg.fingerprint())
     svr.save_model(model, args.out)
-    print(f"trained on {len(y_all)} rows, hyperparams C={hp[0]} eps={hp[1]} gamma={hp[2]}")
+    C, eps, gamma = model.hyperparams
+    print(f"trained on {len(rows)} rows, hyperparams C={C} eps={eps} gamma={gamma}")
     print(f"model written to {args.out}")
     return 0
 
@@ -213,8 +196,8 @@ def build_parser():
     p.add_argument("--band", type=int, default=4, help="subband index (1-based)")
     p.add_argument("--scale", type=int, default=4, help="spatial scale exponent")
     p.add_argument("--bins", type=int, default=101)
-    p.add_argument("--wavelet", default="bior2.2", choices=["haar", "db2", "bior2.2"])
-    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--wavelet", default=GreedConfig.wavelet, choices=WAVELETS)
+    p.add_argument("--levels", type=int, default=GreedConfig.levels)
     _add_video_args(p)
     p.set_defaults(func=cmd_histdump)
     return parser

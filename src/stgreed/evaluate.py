@@ -42,7 +42,6 @@ class EvalReport:
     krocc: float
     plcc: float
     rmse: float
-    logistic: LogisticParams
     n_trials: int
     per_trial: dict = field(default_factory=dict)
 
@@ -177,22 +176,46 @@ def _gather(rows, features, subset):
     return np.array(X), np.array(y)
 
 
+def _check_complete(rows, features):
+    missing = [(r.ref, r.dist) for r in rows if (r.ref, r.dist) not in features]
+    if missing:
+        listing = "\n".join(f"  {ref} / {dist}" for ref, dist in missing)
+        raise ValueError(f"missing cached features for {len(missing)} pairs:\n{listing}")
+
+
+def train_model(rows, features, seed=0, grid=None, fingerprint=""):
+    """Tune (C, epsilon, kernel_gamma) on one content split, then fit every row.
+
+    The split is split_contents under default_rng([seed, 0]); the grid
+    search trains on its train and test parts and scores on validation.
+    """
+    _check_complete(rows, features)
+    contents = sorted({r.content_id for r in rows})
+    if len(contents) < 3:
+        raise ValueError("need at least 3 contents to tune hyperparameters")
+    train, val, test = split_contents(contents, np.random.default_rng([seed, 0]))
+    hp = grid_search(_gather(rows, features, train | test),
+                     _gather(rows, features, val), grid)
+    X, y = _gather(rows, features, set(contents))
+    return train_svr(X, y, hp, fingerprint=fingerprint)
+
+
 def run_protocol(rows, features, trials=200, seed=0, grid=None):
     """Repeated content-disjoint 70/15/15 trials; reports per-metric medians.
 
     Per trial: grid search on the validation set, train on the training set,
     metrics on the test set with the logistic refit per trial. Deterministic
     for a fixed seed; trial RNG streams derive from (seed, trial_index).
+    per_trial also records each trial's chosen (C, epsilon, kernel_gamma)
+    and whether its logistic fit converged.
     """
     contents = sorted({r.content_id for r in rows})
     if len(contents) < 3:
         raise ValueError(f"need at least 3 contents, got {len(contents)}")
-    missing = [(r.ref, r.dist) for r in rows if (r.ref, r.dist) not in features]
-    if missing:
-        raise ValueError(f"missing cached features for {len(missing)} pairs, e.g. {missing[0]}")
+    _check_complete(rows, features)
 
-    per_trial = {"srocc": [], "krocc": [], "plcc": [], "rmse": []}
-    last_params = None
+    per_trial = {"srocc": [], "krocc": [], "plcc": [], "rmse": [],
+                 "hyperparams": [], "logistic_converged": []}
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         train, val, test = split_contents(contents, rng)
@@ -209,7 +232,8 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
         fit = plcc_rmse(pred, y_te)
         per_trial["plcc"].append(fit.plcc)
         per_trial["rmse"].append(fit.rmse)
-        last_params = fit.params
+        per_trial["hyperparams"].append(model.hyperparams)
+        per_trial["logistic_converged"].append(fit.converged)
 
     def med(vals):
         vals = [v for v in vals if v is not None]
@@ -217,7 +241,7 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
 
     return EvalReport(med(per_trial["srocc"]), med(per_trial["krocc"]),
                       med(per_trial["plcc"]), med(per_trial["rmse"]),
-                      last_params, trials, per_trial)
+                      trials, per_trial)
 
 
 def hfr_vmaf(vmaf_of_pr_dist, greed_score):

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -77,7 +76,7 @@ def block_entropies(frames, noise_var, patch_size=5):
         kurt = m4[t] / (m2[t] * m2[t]) if m2[t] > 0 else 0.0
         moments = ggd.noisy_moments(m2[t], kurt, noise_var)
         betas[t] = ggd.beta_from_kurtosis(moments.kurtosis)
-    scale = np.array([math.sqrt(ggd.gamma_fn(1.0 / b) / ggd.gamma_fn(3.0 / b)) for b in betas])
+    scale = np.array([ggd.alpha_from_sigma_beta(1.0, b) for b in betas])
     h_unit = np.array([ggd.ggd_entropy(1.0, b) for b in betas])
 
     var_p, grid = _patch_variances(frames, patch_size)

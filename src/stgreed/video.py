@@ -60,6 +60,13 @@ def _chroma_plane_bytes(width, height):
     return 2 * ((width + 1) // 2) * ((height + 1) // 2)
 
 
+def _store_luma(buf, offset, height, width, ten_bit, out):
+    """Decode one 8-bit or 10-bit little-endian luma plane into out, on [0, 255]."""
+    plane = np.frombuffer(buf, dtype="<u2" if ten_bit else np.uint8,
+                          count=width * height, offset=offset).reshape(height, width)
+    np.multiply(plane, 255.0 / 1023.0 if ten_bit else 1.0, out=out)
+
+
 _Y4M_MAGIC = b"YUV4MPEG2"
 
 
@@ -128,12 +135,7 @@ def load_y4m(path):
         raise VideoFormatError(f"{path}: stream contains no frames")
     frames = np.empty((len(offsets), height, width), dtype=np.float64)
     for t, payload in enumerate(offsets):
-        plane = np.frombuffer(data, dtype="<u2" if ten_bit else np.uint8,
-                              count=width * height, offset=payload).reshape(height, width)
-        if ten_bit:
-            np.multiply(plane, 255.0 / 1023.0, out=frames[t])
-        else:
-            frames[t] = plane
+        _store_luma(data, payload, height, width, ten_bit, frames[t])
     return LumaVideo(frames, fps)
 
 
@@ -171,12 +173,7 @@ def load_raw_yuv(path, width, height, fps, pixel_format="yuv420p"):
     frames = np.empty((n, height, width), dtype=np.float64)
     with open(path, "rb") as f:
         for t in range(n):
-            raw = f.read(luma_bytes)
-            if bps == 2:
-                plane = np.frombuffer(raw, dtype="<u2").astype(np.float64) * (255.0 / 1023.0)
-            else:
-                plane = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-            frames[t] = plane.reshape(height, width)
+            _store_luma(f.read(luma_bytes), 0, height, width, bps == 2, frames[t])
             f.seek(frame_bytes - luma_bytes, os.SEEK_CUR)
     return LumaVideo(frames, fps)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stgreed import svr
-from stgreed.cli import main
+from stgreed.cli import _config, build_parser, main
 from stgreed.features import GreedConfig, append_cache_record
 
 from conftest import write_y4m
@@ -201,3 +201,31 @@ def test_help_exits_cleanly(cmd, capsys):
         main([cmd, "--help"])
     assert exc.value.code == 0
     assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["features", "a.y4m", "b.y4m"],
+    ["score", "a.y4m", "b.y4m", "--model", "m.json"],
+    ["train", "--manifest", "m.csv", "--cache", "c.jsonl", "--out", "o.json"],
+    ["eval", "--manifest", "m.csv", "--cache", "c.jsonl"],
+])
+def test_config_flag_defaults_are_greed_config(argv):
+    assert _config(build_parser().parse_args(argv)) == GreedConfig()
+
+
+def test_histdump_defaults_are_greed_config():
+    args = build_parser().parse_args(["histdump", "v.y4m"])
+    assert (args.wavelet, args.levels) == (GreedConfig().wavelet, GreedConfig().levels)
+
+
+def test_eval_json_reports_per_trial_fit_details(tmp_path, rng, capsys):
+    manifest, cache = _write_dataset(tmp_path, rng)
+    report_path = tmp_path / "report.json"
+    assert main(["eval", "--manifest", manifest, "--cache", cache,
+                 "--trials", "2", "--json", str(report_path)]) == 0
+    capsys.readouterr()
+    per_trial = json.loads(report_path.read_text())["per_trial"]
+    assert [len(hp) for hp in per_trial["hyperparams"]] == [3, 3]
+    assert all(isinstance(c, bool) for c in per_trial["logistic_converged"])
+    assert len(per_trial["logistic_converged"]) == 2
+

@@ -7,7 +7,8 @@ import pytest
 from stgreed.evaluate import (DatasetRow, LogisticParams, dump_histogram,
                               format_histogram, hfr_vmaf, krocc, logistic,
                               plcc_rmse, read_manifest, run_protocol,
-                              split_contents, srocc)
+                              split_contents, srocc, train_model)
+from stgreed.svr import grid_search, predict, train_svr
 
 
 def test_rank_correlations_perfect_and_reversed():
@@ -214,3 +215,52 @@ def test_format_histogram():
     out = format_histogram(np.array([-0.5, 0.5]), np.array([0.25, 0.75]))
     lines = out.strip().split("\n")
     assert lines == ["-0.5\t0.25", "0.5\t0.75"]
+
+
+def test_train_model_matches_split_grid_search_and_fit(rng):
+    rows, features = _synthetic_dataset(rng, n_contents=8, per_content=5)
+    # At seed 1 this grid picks a different point if the split's test part
+    # is left out of training, if validation and test swap, or if the split
+    # draws from another RNG stream.
+    grid = [(C, 0.1, 2.0 ** e) for C in (1.0, 10.0, 100.0) for e in (-6, -4, -2, 0)]
+    model = train_model(rows, features, seed=1, grid=grid, fingerprint="f00d")
+
+    def gather(subset):
+        picked = [r for r in rows if r.content_id in subset]
+        return (np.array([features[(r.ref, r.dist)]["values"] for r in picked]),
+                np.array([r.dmos for r in picked]))
+
+    contents = sorted({r.content_id for r in rows})
+    train, val, test = split_contents(contents, np.random.default_rng([1, 0]))
+    hp = grid_search(gather(train | test), gather(val), grid)
+    X, y = gather(set(contents))
+    expect = train_svr(X, y, hp, fingerprint="f00d")
+    assert model.hyperparams == expect.hyperparams
+    assert model.fingerprint == "f00d"
+    np.testing.assert_array_equal(predict(model, X), predict(expect, X))
+
+
+def test_train_model_needs_three_contents(rng):
+    rows, features = _synthetic_dataset(rng, n_contents=2, per_content=3)
+    with pytest.raises(ValueError, match="at least 3 contents"):
+        train_model(rows, features)
+
+
+def test_run_protocol_lists_every_missing_pair(rng):
+    rows, features = _synthetic_dataset(rng, n_contents=4, per_content=2)
+    for r in rows[1:4]:
+        del features[(r.ref, r.dist)]
+    with pytest.raises(ValueError, match="missing cached features for 3 pairs") as exc:
+        run_protocol(rows, features, trials=1)
+    for r in rows[1:4]:
+        assert f"  {r.ref} / {r.dist}" in str(exc.value)
+
+
+def test_run_protocol_reports_hyperparams_and_logistic_convergence(rng):
+    rows, features = _synthetic_dataset(rng, n_contents=6, per_content=5)
+    grid = [(100.0, 0.1, 0.0625), (10.0, 0.1, 0.25)]
+    report = run_protocol(rows, features, trials=3, seed=5, grid=grid)
+    assert len(report.per_trial["hyperparams"]) == 3
+    assert all(hp in grid for hp in report.per_trial["hyperparams"])
+    assert [type(c) for c in report.per_trial["logistic_converged"]] == [bool] * 3
+

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stgreed.bandpass import WAVELETS, build_packet_filters, temporal_filter
 from stgreed.features import GreedConfig, compute_features
 from stgreed.video import LumaVideo, downsample, kept_indices, make_pseudo_reference
 
@@ -62,3 +64,35 @@ def test_self_score_is_zero(v):
     feats = compute_features(v, v, GreedConfig(wavelet="haar", scales=(1, 2)))
     assert feats.values.shape == (16,)
     assert np.all(feats.values == 0.0)
+
+
+def _padded_loop_filter(frames, taps):
+    """Half-sample mirror padding, then one shifted multiply-add per tap."""
+    n, length = frames.shape[0], len(taps)
+    delay = length // 2
+    ext = np.pad(frames, ((length - 1, length - 1), (0, 0), (0, 0)), mode="symmetric")
+    out = np.zeros(frames.shape)
+    for m, c in enumerate(taps):
+        start = length - 1 + delay - m
+        out += c * ext[start:start + n]
+    return out
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("wavelet", WAVELETS)
+@_SETTINGS
+@given(st.data())
+def test_temporal_filter_matches_padded_loop(wavelet, levels, data):
+    bank = build_packet_filters(wavelet, levels)
+    n = data.draw(st.integers(2, 2 * bank.max_length + 4), label="frames")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    frames = rng.integers(0, 1024, size=(n, 3, 4)) * (255.0 / 1023.0)
+    # Error relative to the input scale: band outputs on short clips can
+    # cancel to rounding noise, so their own maximum is no yardstick.
+    for taps in bank.filters:
+        if 4 * n < len(taps):
+            continue
+        bound = 1e-12 * np.abs(frames).max() * np.abs(taps).sum()
+        np.testing.assert_allclose(temporal_filter(frames, taps).coeffs,
+                                   _padded_loop_filter(frames, taps), rtol=0, atol=bound)
+

@@ -203,3 +203,21 @@ def test_pseudo_reference_rejects_upsampling():
         make_pseudo_reference(v, 60)
     with pytest.raises(ValueError):
         make_pseudo_reference(v, 0)
+
+
+def test_raw_and_y4m_agree_ten_bit(tmp_path):
+    rng = np.random.default_rng(12)
+    luma = rng.integers(0, 1024, size=(3, 5, 9)).astype("<u2")
+    chroma = np.full(2 * 3 * 5, 512, dtype="<u2").tobytes()  # two 5x3 planes
+    y4m, raw = tmp_path / "v.y4m", tmp_path / "v.yuv"
+    with open(y4m, "wb") as f:
+        f.write(b"YUV4MPEG2 W9 H5 F30:1 C420p10\n")
+        for plane in luma:
+            f.write(b"FRAME\n" + plane.tobytes() + chroma)
+    with open(raw, "wb") as f:
+        for plane in luma:
+            f.write(plane.tobytes() + chroma)
+    frames = load_raw_yuv(raw, 9, 5, 30, "yuv420p10le").frames
+    np.testing.assert_array_equal(frames, load_y4m(y4m).frames)
+    np.testing.assert_allclose(frames, luma * (255.0 / 1023.0), rtol=1e-15, atol=0)
+
