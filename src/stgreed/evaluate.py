@@ -22,7 +22,6 @@ class LogisticParams:
 class LogisticFit:
     plcc: float          # None when undefined (constant input)
     rmse: float
-    params: LogisticParams
     converged: bool = True
 
 
@@ -120,7 +119,7 @@ def plcc_rmse(pred, dmos, max_iter=10000):
     if np.ptp(pred) == 0.0:
         m = float(np.mean(dmos))
         rmse = float(np.sqrt(np.mean((dmos - m) ** 2)))
-        return LogisticFit(None, rmse, LogisticParams(m, m, float(pred[0]), 1.0))
+        return LogisticFit(None, rmse)
 
     def sse(b):
         q = logistic(LogisticParams(*b), pred)
@@ -130,10 +129,9 @@ def plcc_rmse(pred, dmos, max_iter=10000):
     res = minimize(sse, x0, method="Nelder-Mead",
                    options={"maxiter": max_iter, "maxfev": max_iter,
                             "xatol": 1e-8, "fatol": 1e-10})
-    params = LogisticParams(*res.x)
-    q = logistic(params, pred)
+    q = logistic(LogisticParams(*res.x), pred)
     rmse = float(np.sqrt(np.mean((q - dmos) ** 2)))
-    return LogisticFit(_pearson(q, dmos), rmse, params, bool(res.success))
+    return LogisticFit(_pearson(q, dmos), rmse, bool(res.success))
 
 
 def read_manifest(path):

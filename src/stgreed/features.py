@@ -89,30 +89,25 @@ def block_entropies(frames, noise_var, patch_size=5):
 
 
 def average_reference_entropies(ref_field, rate_ratio, n_out=None):
-    """Average reference entropies over subsequences of length rate_ratio.
+    """Average reference entropies over the cells of the frame-rate alignment.
 
-    Output frame i averages reference frames with indices in
-    [floor(i*F), floor((i+1)*F)); F = 1 is the identity.
+    Output frame i averages reference frames [kept[i], kept[i + 1]) with
+    kept = kept_indices(n_ref, rate_ratio, 1), i.e. [floor(i*F), floor((i+1)*F))
+    cut at n_ref; F = 1 is the identity.
     """
     ratio = Fraction(rate_ratio)
     if ratio < 1:
         raise ValueError(f"rate ratio must be >= 1, got {rate_ratio}")
     n_ref = ref_field.values.shape[0]
-    if ratio == 1:
-        return ref_field if n_out is None else EntropyField(
-            ref_field.values[:n_out], ref_field.patch_grid, ref_field.frame_betas[:n_out])
     if n_out is None:
         n_out = int(n_ref / ratio)
-
-    values = np.empty((n_out, ref_field.values.shape[1]))
-    betas = np.empty(n_out)
-    for i in range(n_out):
-        lo = int(i * ratio)
-        hi = min(int((i + 1) * ratio), n_ref)
-        if hi <= lo:
-            raise ValueError(f"empty averaging cell at output frame {i}")
-        values[i] = ref_field.values[lo:hi].mean(axis=0)
-        betas[i] = ref_field.frame_betas[lo:hi].mean()
+    edges = (kept_indices(n_ref, ratio, 1) + [n_ref])[:n_out + 1]
+    if len(edges) <= n_out:
+        raise ValueError(f"empty averaging cell at output frame {len(edges) - 1}")
+    # reduceat's last cell runs to the end of its input, so cut that at edges[-1].
+    starts, counts = edges[:-1], np.diff(edges)
+    values = np.add.reduceat(ref_field.values[:edges[-1]], starts) / counts[:, None]
+    betas = np.add.reduceat(ref_field.frame_betas[:edges[-1]], starts) / counts
     return EntropyField(values, ref_field.patch_grid, betas)
 
 
@@ -159,15 +154,14 @@ def compute_features(ref, dist, config=None, jobs=1):
         raise ValueError(
             f"resolution mismatch: reference {ref.width}x{ref.height}, "
             f"distorted {dist.width}x{dist.height}")
-    if dist.fps > ref.fps:
-        raise ValueError(f"distorted fps {dist.fps} exceeds reference fps {ref.fps}")
+    kept = kept_indices(ref.num_frames, ref.fps, dist.fps)
 
     bank = build_packet_filters(cfg.wavelet, cfg.levels)
     if min(ref.num_frames, dist.num_frames) * 4 < bank.max_length:
         raise ValueError("video too short for the temporal filter bank")
 
     ratio = ref.fps / dist.fps
-    kept = kept_indices(ref.num_frames, ref.fps, dist.fps)
+    n = min(dist.num_frames, int(ref.num_frames / ratio))  # frames compared
 
     # Incremental pyramid: s poolings then the difference to the next scale.
     pyramids = {}  # scale -> (ref, dist) frames at that scale
@@ -177,42 +171,29 @@ def compute_features(ref, dist, config=None, jobs=1):
         prev_s = s
         pyramids[s] = (r.frames, d.frames)
 
-    def sgreed_task(s):
+    def index(task):
+        """SGREED at scale s when k is None, else TGREED of subband k."""
+        s, k = task
         r, d = pyramids[s]
-        theta_r = block_entropies(spatial_ms(r), cfg.noise_var, cfg.patch_size)
-        theta_d = block_entropies(spatial_ms(d), cfg.noise_var, cfg.patch_size)
-        n = min(theta_d.values.shape[0], int(theta_r.values.shape[0] / ratio))
-        theta_r_avg = average_reference_entropies(theta_r, ratio, n_out=n)
-        return float(np.mean(sgreed_frame(theta_r_avg.values, theta_d.values[:n])))
-
-    def tgreed_task(s, k):
-        r, d = pyramids[s]
-        taps = bank.filters[k]
 
         def entropies(frames):
-            return block_entropies(temporal_filter(frames, taps, k).coeffs,
-                                   cfg.noise_var, cfg.patch_size)
+            coeffs = (spatial_ms(frames) if k is None
+                      else temporal_filter(frames, bank.filters[k], k).coeffs)
+            return block_entropies(coeffs, cfg.noise_var, cfg.patch_size)
 
-        eps_r = entropies(r)
+        eps_r, eps_d = entropies(r), entropies(d)
+        eps_r_avg = average_reference_entropies(eps_r, ratio, n_out=n).values
+        if k is None:
+            return float(np.mean(sgreed_frame(eps_r_avg, eps_d.values[:n])))
         eps_p = eps_r if ratio == 1 else entropies(r[kept])
-        eps_d = entropies(d)
-        n = min(eps_p.values.shape[0], eps_d.values.shape[0],
-                int(eps_r.values.shape[0] / ratio))
-        eps_r_avg = average_reference_entropies(eps_r, ratio, n_out=n)
-        return float(np.mean(tgreed_frame(eps_r_avg.values, eps_p.values[:n],
-                                          eps_d.values[:n])))
+        return float(np.mean(tgreed_frame(eps_r_avg, eps_p.values[:n], eps_d.values[:n])))
 
-    tasks = []
-    for s in cfg.scales:
-        tasks.append(lambda s=s: sgreed_task(s))
-        for k in range(bank.num_bands):
-            tasks.append(lambda s=s, k=k: tgreed_task(s, k))
-
+    tasks = [(s, k) for s in cfg.scales for k in (None, *range(bank.num_bands))]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(lambda f: f(), tasks))
+            values = list(pool.map(index, tasks))
     else:
-        values = [f() for f in tasks]
+        values = list(map(index, tasks))
     return GreedFeatures(np.array(values), cfg)
 
 

@@ -12,7 +12,11 @@ class VideoFormatError(ValueError):
 
 
 def _as_fraction(fps):
-    f = Fraction(fps)
+    """Parse a frame rate (number, Fraction or text such as "30000/1001")."""
+    try:
+        f = Fraction(fps)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"invalid fps {fps!r}") from e
     if f <= 0:
         raise ValueError(f"fps must be positive, got {fps}")
     return f
@@ -85,22 +89,24 @@ def load_y4m(path):
         raise VideoFormatError(f"{path}: unterminated stream header at byte {len(data)}")
     header = data[len(_Y4M_MAGIC):nl].decode("ascii", errors="replace")
 
-    width = height = None
-    fps = None
-    chroma = "420"
-    for tok in header.split():
-        key, val = tok[0], tok[1:]
-        if key == "W":
-            width = int(val)
-        elif key == "H":
-            height = int(val)
-        elif key == "F":
-            num, den = val.split(":")
-            fps = Fraction(int(num), int(den))
-        elif key == "C":
-            chroma = val
-    if not width or not height or fps is None:
+    tags = {tok[0]: tok[1:] for tok in header.split()}
+    if not {"W", "H", "F"} <= tags.keys():
         raise VideoFormatError(f"{path}: stream header missing W/H/F tags (header ends at byte {nl})")
+
+    def tag(key):
+        try:
+            if key == "F":
+                num, den = tags[key].split(":")
+                return _as_fraction(f"{num}/{den}")
+            if int(tags[key]) > 0:
+                return int(tags[key])
+        except ValueError:
+            pass
+        raise VideoFormatError(
+            f"{path}: bad {key} tag {key}{tags[key]} (header ends at byte {nl})")
+
+    width, height, fps = tag("W"), tag("H"), tag("F")
+    chroma = tags.get("C", "420")
 
     ten_bit = chroma.endswith("p10")
     base = chroma[:-3] if ten_bit else chroma
@@ -155,6 +161,7 @@ def load_raw_yuv(path, width, height, fps, pixel_format="yuv420p"):
     """Decode a headerless planar YUV file with caller-supplied geometry."""
     if width <= 0 or height <= 0:
         raise ValueError(f"invalid dimensions {width}x{height}")
+    fps = _as_fraction(fps)
     if pixel_format == "yuv420p":
         bps = 1
     elif pixel_format == "yuv420p10le":
@@ -204,8 +211,16 @@ def downsample(video, s):
 
 
 def kept_indices(n_ref, ref_fps, dist_fps):
-    """Reference frames kept by frame dropping to dist_fps: floor(i * ref_fps / dist_fps)."""
-    ratio = _as_fraction(ref_fps) / _as_fraction(dist_fps)
+    """Reference frames kept by frame dropping to dist_fps: floor(i * ref_fps / dist_fps).
+
+    This is the one frame-rate alignment rule: kept frame i also starts the
+    cell [kept[i], kept[i + 1]) of reference frames that distorted frame i
+    is compared with, and the last cell ends at n_ref.
+    """
+    ref_fps, dist_fps = _as_fraction(ref_fps), _as_fraction(dist_fps)
+    if dist_fps > ref_fps:
+        raise ValueError(f"distorted fps {dist_fps} exceeds reference fps {ref_fps}")
+    ratio = ref_fps / dist_fps
     p, q = ratio.numerator, ratio.denominator
     # i * p // q < n_ref  <=>  i < n_ref * q / p
     return [i * p // q for i in range(-(-n_ref * q // p))]
@@ -218,8 +233,6 @@ def make_pseudo_reference(ref, dist_fps):
     rates are equal the pseudo reference is the reference itself.
     """
     dist_fps = _as_fraction(dist_fps)
-    if dist_fps > ref.fps:
-        raise ValueError(f"distorted fps {dist_fps} exceeds reference fps {ref.fps}")
     kept = kept_indices(ref.num_frames, ref.fps, dist_fps)
     frames = ref.frames if dist_fps == ref.fps else ref.frames[kept]
     return PseudoReference(LumaVideo(frames, dist_fps), kept)

@@ -229,3 +229,28 @@ def test_eval_json_reports_per_trial_fit_details(tmp_path, rng, capsys):
     assert all(isinstance(c, bool) for c in per_trial["logistic_converged"])
     assert len(per_trial["logistic_converged"]) == 2
 
+
+@pytest.mark.parametrize("y4m_tags, raw_fps, error", [
+    ("W16 H16 F30:0", None, "bad F tag F30:0"),
+    ("W16 H16 F30", None, "bad F tag F30"),
+    ("W16 H16 F-30:1", None, "bad F tag F-30:1"),
+    ("Wx H16 F30:1", None, "bad W tag Wx"),
+    ("W16 H0 F30:1", None, "bad H tag H0"),
+    (None, "30/0", "invalid fps '30/0'"),
+    (None, "x", "invalid fps 'x'"),
+    (None, "0", "fps must be positive"),
+])
+def test_malformed_size_or_frame_rate_exits_2(tmp_path, capsys, y4m_tags, raw_fps, error):
+    if y4m_tags is None:
+        path = tmp_path / "v.yuv"
+        path.write_bytes(bytes(16 * 16 * 3 // 2))
+        extra = ["--width", "16", "--height", "16", "--fps", raw_fps]
+    else:
+        header = f"YUV4MPEG2 {y4m_tags} Cmono\n".encode()
+        path = tmp_path / "v.y4m"
+        path.write_bytes(header + b"FRAME\n" + bytes(16 * 16))
+        extra = []
+        error += f" (header ends at byte {len(header) - 1})"
+    rc = main(["features", str(path), str(path), *extra])
+    assert rc == 2
+    assert error in capsys.readouterr().err

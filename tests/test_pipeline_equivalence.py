@@ -2,9 +2,10 @@
 
 The oracle below pools by repeated 2x2 halving at every scale, pools a
 full-resolution pseudo-reference copy separately, and walks every frame in
-Python for spatial filtering, block entropies and index pooling. The
-library pools each video once, indexes the pooled reference for the pseudo
-reference and works on whole stacks; only the rounding of sums may differ.
+Python for spatial filtering, block entropies, reference averaging and
+index pooling. The library pools each video once, indexes the pooled
+reference for the pseudo reference and works on whole stacks; only the
+rounding of sums may differ.
 """
 
 import math
@@ -12,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stgreed import ggd
 from stgreed.bandpass import build_packet_filters, spatial_ms, temporal_filter
@@ -61,6 +64,21 @@ def _block_entropies_per_frame(frames, noise_var, patch):
     return EntropyField(np.array(values), (rows, cols), np.array(betas))
 
 
+def _average_per_cell(field, ratio, n_out=None):
+    """Mean of reference frames [floor(i*F), floor((i+1)*F)), cut at n_ref, per output frame."""
+    ratio = Fraction(ratio)
+    n_ref = field.values.shape[0]
+    if n_out is None:
+        n_out = int(n_ref / ratio)
+    values, betas = np.empty((n_out, field.values.shape[1])), np.empty(n_out)
+    for i in range(n_out):
+        lo, hi = int(i * ratio), min(int((i + 1) * ratio), n_ref)
+        assert hi > lo
+        values[i] = field.values[lo:hi].mean(axis=0)
+        betas[i] = field.frame_betas[lo:hi].mean()
+    return EntropyField(values, field.patch_grid, betas)
+
+
 def _oracle_features(ref, dist, cfg):
     bank = build_packet_filters(cfg.wavelet, cfg.levels)
     ratio = ref.fps / dist.fps
@@ -77,7 +95,7 @@ def _oracle_features(ref, dist, cfg):
 
         theta_r, theta_d = spatial(r), spatial(d)
         n = min(theta_d.values.shape[0], int(theta_r.values.shape[0] / ratio))
-        avg = average_reference_entropies(theta_r, ratio, n_out=n)
+        avg = _average_per_cell(theta_r, ratio, n_out=n)
         out.append(np.mean([np.mean(np.abs(theta_d.values[t] - avg.values[t]))
                             for t in range(n)]))
 
@@ -88,7 +106,7 @@ def _oracle_features(ref, dist, cfg):
                 for v in (r, p, d))
             n = min(eps_p.values.shape[0], eps_d.values.shape[0],
                     int(eps_r.values.shape[0] / ratio))
-            avg = average_reference_entropies(eps_r, ratio, n_out=n)
+            avg = _average_per_cell(eps_r, ratio, n_out=n)
             per_frame = []
             for t in range(n):
                 term = ((1.0 + np.abs(eps_d.values[t] - eps_p.values[t]))
@@ -114,3 +132,46 @@ def test_compute_features_matches_per_frame_oracle(dist_fps, jobs):
     assert got.shape == want.shape == (16,)
     assert np.all(want > 0)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+def test_compute_features_short_last_cell_matches_per_frame_oracle():
+    # 120 -> 24 fps on 47 frames: cells of 5 frames, and the last cell
+    # [45, 47) is cut short. The 10 distorted frames are compared over
+    # n = floor(47 / 5) = 9 cells, so averaging must stop at frame 45.
+    rng = np.random.default_rng(47)
+    ref = LumaVideo(rng.integers(0, 1024, size=(47, 83, 101)) * (255.0 / 1023.0), 120)
+    dist_frames = ref.frames[_kept(47, 120, 24)]
+    dist_frames = np.clip(dist_frames + rng.normal(0, 4.0, size=dist_frames.shape), 0, 255)
+    dist = LumaVideo(dist_frames, 24)
+    cfg = GreedConfig(scales=(2, 3))
+
+    got = compute_features(ref, dist, cfg).values
+    want = _oracle_features(ref, dist, cfg)
+    assert dist.num_frames == 10
+    assert np.all(want > 0)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+_RATIOS = st.one_of(
+    st.sampled_from([Fraction(120, 82), Fraction(120, 98), Fraction(5)]),
+    st.tuples(st.integers(1, 240), st.integers(1, 240)).map(
+        lambda ab: Fraction(max(ab), min(ab))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), _RATIOS, st.data())
+def test_average_reference_entropies_matches_per_cell_loop(n_ref, ratio, data):
+    n_cells = math.ceil(n_ref / ratio)  # the last one may be cut short
+    n_out = data.draw(st.one_of(st.none(), st.integers(0, n_cells)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    # Positive entropies, so the relative tolerance meets no cancellation.
+    field = EntropyField(rng.uniform(0.0, 10.0, size=(n_ref, 3)), (1, 3),
+                         rng.uniform(0.5, 2.0, size=n_ref))
+
+    got = average_reference_entropies(field, ratio, n_out)
+    want = _average_per_cell(field, ratio, n_out)
+    assert got.values.shape == want.values.shape
+    np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.frame_betas, want.frame_betas, rtol=1e-12, atol=0)
+    with pytest.raises(ValueError, match="empty averaging cell"):
+        average_reference_entropies(field, ratio, n_out=n_cells + 1)
