@@ -51,7 +51,7 @@ def _config(args):
 def _load_video(path, args, fps_override=None):
     if not os.path.exists(path):
         raise VideoFormatError(f"input file does not exist: {path}")
-    if path.endswith(".y4m"):
+    if path.lower().endswith(".y4m"):
         v = load_y4m(path)
         return v
     if args.width is None or args.height is None or (args.fps is None and fps_override is None):

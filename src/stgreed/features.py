@@ -52,7 +52,7 @@ def _patch_variances(frames, patch):
     return (sq - mean * mean).reshape(frames.shape[0], rows * cols), (rows, cols)
 
 
-def block_entropies(frames, noise_var, patch_size=5):
+def block_entropies(frames, noise_var, patch_size=GreedConfig.patch_size):
     """Scaled entropies of band-pass coefficient frames.
 
     Per frame, the GGD shape is estimated once from the whole-frame noisy

@@ -34,55 +34,40 @@ def _rbf(gamma, a, b):
 def _solve_smo(K, y, C, epsilon, tol=1e-3, max_iter=200000):
     """Two-coordinate dual ascent with most-violating-pair selection.
 
-    Variables are the stacked (alpha, alpha*) box-constrained pair; the
+    The state is the stacked (alpha, alpha*) vector lam, each entry boxed in
+    [0, C], and its gradient G; entry t belongs to training row t % n. The
     equality constraint sum(alpha - alpha*) = 0 is preserved exactly by
-    every update. Returns (beta, bias).
+    every update. Returns (beta, bias) with beta = alpha - alpha*.
     """
     n = len(y)
     lam = np.zeros(2 * n)
     s = np.concatenate([np.ones(n), -np.ones(n)])
-    idx = np.concatenate([np.arange(n), np.arange(n)])
-    beta = np.zeros(n)
     # G_t = s_t * ((K beta)_p - y_p) + epsilon; beta starts at 0
     G = np.concatenate([-y, y]) + epsilon
 
-    for _ in range(max_iter):
-        neg_sG = -s * G
-        up = np.where(s > 0, lam < C, lam > 0)
-        low = np.where(s > 0, lam > 0, lam < C)
-        if not up.any() or not low.any():
+    for it in range(max_iter + 1):
+        v = -s * G
+        v_up = np.where(np.where(s > 0, lam < C, lam > 0), v, -np.inf)
+        v_low = np.where(np.where(s > 0, lam > 0, lam < C), v, np.inf)
+        i, j = int(np.argmax(v_up)), int(np.argmin(v_low))
+        gap = v_up[i] - v_low[j]  # -inf when either set is empty
+        if it == max_iter or gap <= tol:
             break
-        m_val = np.max(neg_sG[up])
-        M_val = np.min(neg_sG[low])
-        if m_val - M_val <= tol:
-            break
-        i = int(np.flatnonzero(up)[np.argmax(neg_sG[up])])
-        j = int(np.flatnonzero(low)[np.argmin(neg_sG[low])])
-        pi, pj = idx[i], idx[j]
-
+        pi, pj = i % n, j % n
         a = K[pi, pi] + K[pj, pj] - 2.0 * K[pi, pj]
-        slope = s[i] * G[i] - s[j] * G[j]  # < 0 for a violating pair
-        u = -slope / max(a, 1e-12)
         u_max_i = (C - lam[i]) if s[i] > 0 else lam[i]
         u_max_j = lam[j] if s[j] > 0 else (C - lam[j])
-        u = float(np.clip(u, 0.0, min(u_max_i, u_max_j)))
+        u = min(max(gap / max(a, 1e-12), 0.0), u_max_i, u_max_j)
         if u <= 0.0:
             break
+        lam[i] += s[i] * u
+        lam[j] -= s[j] * u
+        d = (K[:, pi] - K[:, pj]) * u
+        G[:n] += d
+        G[n:] -= d
 
-        lam[i] += s[i] * u if s[i] > 0 else -u
-        lam[j] -= u if s[j] > 0 else -u
-        beta[pi] += u
-        beta[pj] -= u
-        G += s * (K[idx, pi] - K[idx, pj]) * u
-
-    neg_sG = -s * G
-    up = np.where(s > 0, lam < C, lam > 0)
-    low = np.where(s > 0, lam > 0, lam < C)
-    if up.any() and low.any():
-        bias = 0.5 * (np.max(neg_sG[up]) + np.min(neg_sG[low]))
-    else:
-        bias = float(np.mean(y))
-    return beta, float(bias)
+    bias = np.mean(y) if np.isinf(gap) else 0.5 * (v_up[i] + v_low[j])
+    return lam[:n] - lam[n:], float(bias)
 
 
 def train_svr(features, labels, hyperparams, fingerprint=""):

@@ -36,7 +36,11 @@ class LumaVideo:
         if self.frames.ndim != 3 or self.frames.shape[0] < 1:
             raise ValueError("frames must be a non-empty (T, H, W) array")
         object.__setattr__(self, "fps", _as_fraction(self.fps))
-        self.frames.setflags(write=False)
+        if self.frames.flags.writeable:
+            # Freeze a view, so the caller's own array stays writeable; an
+            # array that is already read-only is kept as it is.
+            object.__setattr__(self, "frames", self.frames.view())
+            self.frames.setflags(write=False)
 
     @property
     def num_frames(self):

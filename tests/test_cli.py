@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -254,3 +255,14 @@ def test_malformed_size_or_frame_rate_exits_2(tmp_path, capsys, y4m_tags, raw_fp
     rc = main(["features", str(path), str(path), *extra])
     assert rc == 2
     assert error in capsys.readouterr().err
+
+
+def test_features_accepts_upper_case_y4m_suffix(video_pair, tmp_path, capsys):
+    ref, dist = video_pair
+    upper = [str(shutil.copy(path, tmp_path / name))
+             for path, name in ((ref, "ref.Y4M"), (dist, "dist.Y4M"))]
+    args = ["--scales", "1", "--wavelet", "haar"]
+    assert main(["features", ref, dist, *args]) == 0
+    lower_out = capsys.readouterr().out
+    assert main(["features", *upper, *args]) == 0
+    assert capsys.readouterr().out == lower_out

@@ -1,5 +1,7 @@
 """Invariants of pooling, frame dropping and self-scoring, checked as properties."""
 
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from stgreed.bandpass import WAVELETS, build_packet_filters, temporal_filter
 from stgreed.features import GreedConfig, compute_features
-from stgreed.video import LumaVideo, downsample, kept_indices, make_pseudo_reference
+from stgreed.video import (LumaVideo, downsample, kept_indices, load_y4m,
+                           make_pseudo_reference, save_y4m)
 
 _SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -44,6 +47,25 @@ def test_frame_dropping_commutes_with_pooling(v, dist_fps, s):
     pr = make_pseudo_reference(v, dist_fps)
     np.testing.assert_array_equal(downsample(pr.video, s).frames,
                                   downsample(v, s).frames[pr.kept_indices])
+
+
+# Integer rates and NTSC-style ones such as 30000/1001.
+_FRAME_RATES = st.integers(1, 240).flatmap(
+    lambda f: st.sampled_from([Fraction(f), Fraction(1000 * f, 1001)]))
+
+
+@_SETTINGS
+@given(st.integers(1, 5), st.integers(1, 40), st.integers(1, 40), _FRAME_RATES,
+       st.integers(0, 2 ** 32 - 1))
+def test_y4m_round_trip_preserves_video(t, h, w, fps, seed):
+    frames = np.random.default_rng(seed).integers(0, 256, size=(t, h, w)).astype(np.float64)
+    v = LumaVideo(frames, fps)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.y4m")
+        save_y4m(v, path)
+        back = load_y4m(path)
+    np.testing.assert_array_equal(back.frames, v.frames)
+    assert back.fps == v.fps
 
 
 @_SETTINGS

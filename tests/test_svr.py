@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stgreed.svr import (DEFAULT_GRID, grid_search, load_model, predict,
-                         save_model, train_svr)
+from stgreed.svr import (DEFAULT_GRID, _rbf, _solve_smo, grid_search, load_model,
+                         predict, save_model, train_svr)
 
 
 def _toy_problem(rng, n=60, d=4):
@@ -121,3 +123,74 @@ def test_load_model_rejects_bad_files(tmp_path):
     p.write_text('{"format": "stgreed-svr", "version": 99}')
     with pytest.raises(ValueError, match="version"):
         load_model(p)
+
+
+def _reference_smo(K, y, C, epsilon, tol=1e-3, max_iter=200000):
+    """The masked-scan SMO loop with a separate beta accumulator."""
+    n = len(y)
+    lam = np.zeros(2 * n)
+    s = np.concatenate([np.ones(n), -np.ones(n)])
+    idx = np.concatenate([np.arange(n), np.arange(n)])
+    beta = np.zeros(n)
+    # G_t = s_t * ((K beta)_p - y_p) + epsilon; beta starts at 0
+    G = np.concatenate([-y, y]) + epsilon
+
+    for _ in range(max_iter):
+        neg_sG = -s * G
+        up = np.where(s > 0, lam < C, lam > 0)
+        low = np.where(s > 0, lam > 0, lam < C)
+        if not up.any() or not low.any():
+            break
+        m_val = np.max(neg_sG[up])
+        M_val = np.min(neg_sG[low])
+        if m_val - M_val <= tol:
+            break
+        i = int(np.flatnonzero(up)[np.argmax(neg_sG[up])])
+        j = int(np.flatnonzero(low)[np.argmin(neg_sG[low])])
+        pi, pj = idx[i], idx[j]
+
+        a = K[pi, pi] + K[pj, pj] - 2.0 * K[pi, pj]
+        slope = s[i] * G[i] - s[j] * G[j]  # < 0 for a violating pair
+        u = -slope / max(a, 1e-12)
+        u_max_i = (C - lam[i]) if s[i] > 0 else lam[i]
+        u_max_j = lam[j] if s[j] > 0 else (C - lam[j])
+        u = float(np.clip(u, 0.0, min(u_max_i, u_max_j)))
+        if u <= 0.0:
+            break
+
+        lam[i] += s[i] * u if s[i] > 0 else -u
+        lam[j] -= u if s[j] > 0 else -u
+        beta[pi] += u
+        beta[pj] -= u
+        G += s * (K[idx, pi] - K[idx, pj]) * u
+
+    neg_sG = -s * G
+    up = np.where(s > 0, lam < C, lam > 0)
+    low = np.where(s > 0, lam > 0, lam < C)
+    if up.any() and low.any():
+        bias = 0.5 * (np.max(neg_sG[up]) + np.min(neg_sG[low]))
+    else:
+        bias = float(np.mean(y))
+    return beta, float(bias)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 80), st.integers(1, 5), st.integers(0, 40),
+       st.sampled_from([0.1, 10.0, 1000.0]), st.sampled_from([0.0, 0.1, 2.0]),
+       st.sampled_from([0.01, 0.5, 4.0]), st.sampled_from([1, 7, None]),
+       st.integers(0, 2 ** 32 - 1))
+def test_solve_smo_matches_reference(n, d, n_dup, C, eps, gamma, max_iter, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    # Duplicate rows give equal gradients, so selection must break ties the
+    # way the reference does.
+    y = rng.normal(50.0, 10.0, size=n)
+    dup = rng.integers(0, n, size=(min(n_dup, n - 1), 2))
+    X[dup[:, 0]] = X[dup[:, 1]]
+    y[dup[:, 0]] = y[dup[:, 1]]
+    K = _rbf(gamma, X, X)
+    kw = {} if max_iter is None else {"max_iter": max_iter}
+    beta, bias = _solve_smo(K, y, C, eps, **kw)
+    beta_ref, bias_ref = _reference_smo(K, y, C, eps, **kw)
+    assert bias == bias_ref
+    np.testing.assert_allclose(beta, beta_ref, rtol=0, atol=1e-12 * C)

@@ -221,3 +221,12 @@ def test_raw_and_y4m_agree_ten_bit(tmp_path):
     np.testing.assert_array_equal(frames, load_y4m(y4m).frames)
     np.testing.assert_allclose(frames, luma * (255.0 / 1023.0), rtol=1e-15, atol=0)
 
+
+def test_video_freezes_a_view_not_the_callers_array():
+    a = np.zeros((2, 4, 4))
+    video = LumaVideo(a, 30)
+    assert a.flags.writeable
+    assert not video.frames.flags.writeable
+    a[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        video.frames[0, 0, 0] = 2.0
