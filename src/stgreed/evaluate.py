@@ -204,7 +204,8 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
     Per trial: grid search on the validation set, train on the training set,
     metrics on the test set with the logistic refit per trial. Deterministic
     for a fixed seed; trial RNG streams derive from (seed, trial_index).
-    per_trial also records each trial's chosen (C, epsilon, kernel_gamma)
+    per_trial also records each trial's chosen (C, epsilon, kernel_gamma),
+    the SMO iterations of its final fit and whether that solve converged,
     and whether its logistic fit converged.
     """
     contents = sorted({r.content_id for r in rows})
@@ -213,7 +214,8 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
     _check_complete(rows, features)
 
     per_trial = {"srocc": [], "krocc": [], "plcc": [], "rmse": [],
-                 "hyperparams": [], "logistic_converged": []}
+                 "hyperparams": [], "smo_iterations": [], "smo_converged": [],
+                 "logistic_converged": []}
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         train, val, test = split_contents(contents, rng)
@@ -231,6 +233,8 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
         per_trial["plcc"].append(fit.plcc)
         per_trial["rmse"].append(fit.rmse)
         per_trial["hyperparams"].append(model.hyperparams)
+        per_trial["smo_iterations"].append(model.smo[0])
+        per_trial["smo_converged"].append(model.smo[1])
         per_trial["logistic_converged"].append(fit.converged)
 
     def med(vals):

@@ -13,6 +13,11 @@ from . import ggd
 from .bandpass import build_packet_filters, spatial_ms, temporal_filter
 from .video import downsample, kept_indices
 
+# Part of every config fingerprint. Bump it in any change that moves feature
+# values by more than 1e-9 relative, so caches and models written before it
+# are rejected instead of silently reused.
+FEATURE_VERSION = 1
+
 
 @dataclass(frozen=True)
 class GreedConfig:
@@ -23,7 +28,7 @@ class GreedConfig:
     levels: int = 3
 
     def fingerprint(self):
-        key = f"{self.wavelet}|{','.join(map(str, self.scales))}|{self.noise_var!r}|{self.patch_size}|{self.levels}"
+        key = f"{FEATURE_VERSION}|{self.wavelet}|{','.join(map(str, self.scales))}|{self.noise_var!r}|{self.patch_size}|{self.levels}"
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 

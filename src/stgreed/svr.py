@@ -24,6 +24,7 @@ class SvrModel:
     feature_scale: np.ndarray
     hyperparams: tuple           # (C, epsilon, kernel_gamma)
     fingerprint: str = ""
+    smo: tuple = None            # (iterations, converged) of the fit; not saved
 
 
 def _rbf(gamma, a, b):
@@ -31,50 +32,100 @@ def _rbf(gamma, a, b):
     return np.exp(-gamma * np.maximum(d, 0.0))
 
 
+@dataclass(frozen=True)
+class SmoResult:
+    """One SMO solve: the dual solution and the work it took.
+
+    Unpacks as the solution, (beta, bias). converged is True when the loop
+    stopped on gap <= tol (or an empty up/low set), False when it ran out of
+    max_iter steps.
+    """
+
+    beta: np.ndarray
+    bias: float
+    iterations: int
+    converged: bool
+
+    def __iter__(self):
+        return iter((self.beta, self.bias))
+
+
 def _solve_smo(K, y, C, epsilon, tol=1e-3, max_iter=200000):
     """Two-coordinate dual ascent with most-violating-pair selection.
 
-    The state is the stacked (alpha, alpha*) vector lam, each entry boxed in
-    [0, C], and its gradient G; entry t belongs to training row t % n. The
-    equality constraint sum(alpha - alpha*) = 0 is preserved exactly by
-    every update. Returns (beta, bias) with beta = alpha - alpha*.
+    The variables are the stacked (alpha, alpha*) vector lam, each entry
+    boxed in [0, C]; entry t belongs to training row t % n and has sign
+    s_t = +1 for t < n, -1 otherwise. The equality constraint
+    sum(alpha - alpha*) = 0 is preserved exactly by every update.
+
+    The loop state is the score v = -s * G (G the dual gradient) in two
+    masked copies, the rows of one (2, 2n) array: v_up holds v_t where t may
+    move up (lam_t < C for s_t > 0, lam_t > 0 for s_t < 0) and -inf
+    elsewhere, v_low holds v_t where t may move down and +inf elsewhere.
+    Because C > 0 every entry is in at least one set, so one copy always
+    holds v_t. A step on the pair (i, j) moves every half of both copies by
+    the same d = (K[:, p_i] - K[:, p_j]) * u, and +-inf entries stay
+    +-inf. Only entries i and j can change sets: i, which moved up, can
+    leave the up set and join the low set, and j the other way round. So a
+    step is one kernel row difference, one in-place subtraction and two
+    re-masked entries.
+
+    Every step is positive, so the loop needs no zero-step exit: the pair
+    has gap > tol >= 0, the curvature is floored at 1e-12, and both box
+    bounds are positive because i is in the up set (C - lam_i > 0 or
+    lam_i > 0) and j is in the low set.
+
+    Returns an SmoResult with beta = alpha - alpha*.
     """
     n = len(y)
-    lam = np.zeros(2 * n)
-    s = np.concatenate([np.ones(n), -np.ones(n)])
-    # G_t = s_t * ((K beta)_p - y_p) + epsilon; beta starts at 0
-    G = np.concatenate([-y, y]) + epsilon
+    Kr = np.ascontiguousarray(K.T)  # Kr[p] is column p of K, read as a row
+    diag = K.diagonal().tolist()
+    lam = [0.0] * (2 * n)
+    # v = -s * G with G_t = s_t * ((K beta)_p - y_p) + epsilon; at beta = 0
+    # the up set is the alpha half and the low set the alpha* half
+    v = -np.concatenate([np.ones(n), -np.ones(n)]) * (np.concatenate([-y, y]) + epsilon)
+    scores = np.array([np.concatenate([v[:n], np.full(n, -np.inf)]),
+                       np.concatenate([np.full(n, np.inf), v[n:]])])
+    v_up, v_low = scores
+    halves = scores.reshape(4, n)
 
     for it in range(max_iter + 1):
-        v = -s * G
-        v_up = np.where(np.where(s > 0, lam < C, lam > 0), v, -np.inf)
-        v_low = np.where(np.where(s > 0, lam > 0, lam < C), v, np.inf)
-        i, j = int(np.argmax(v_up)), int(np.argmin(v_low))
-        gap = v_up[i] - v_low[j]  # -inf when either set is empty
+        i, j = int(v_up.argmax()), int(v_low.argmin())
+        gap = v_up.item(i) - v_low.item(j)  # -inf when either set is empty
         if it == max_iter or gap <= tol:
             break
         pi, pj = i % n, j % n
-        a = K[pi, pi] + K[pj, pj] - 2.0 * K[pi, pj]
-        u_max_i = (C - lam[i]) if s[i] > 0 else lam[i]
-        u_max_j = lam[j] if s[j] > 0 else (C - lam[j])
+        a = diag[pi] + diag[pj] - 2.0 * Kr.item(pj, pi)
+        u_max_i = C - lam[i] if i < n else lam[i]
+        u_max_j = lam[j] if j < n else C - lam[j]
         u = min(max(gap / max(a, 1e-12), 0.0), u_max_i, u_max_j)
-        if u <= 0.0:
-            break
-        lam[i] += s[i] * u
-        lam[j] -= s[j] * u
-        d = (K[:, pi] - K[:, pj]) * u
-        G[:n] += d
-        G[n:] -= d
+        lam[i] += u if i < n else -u
+        lam[j] -= u if j < n else -u
+        d = Kr[pi] - Kr[pj]
+        d *= u
+        halves -= d
+        # v_i now sits in v_up and v_j in v_low
+        li, lj = lam[i], lam[j]
+        if (li > 0.0) if i < n else (li < C):
+            v_low[i] = v_up[i]
+        if not ((li < C) if i < n else (li > 0.0)):
+            v_up[i] = -np.inf
+        if (lj < C) if j < n else (lj > 0.0):
+            v_up[j] = v_low[j]
+        if not ((lj > 0.0) if j < n else (lj < C)):
+            v_low[j] = np.inf
 
     bias = np.mean(y) if np.isinf(gap) else 0.5 * (v_up[i] + v_low[j])
-    return lam[:n] - lam[n:], float(bias)
+    lam = np.array(lam)
+    return SmoResult(lam[:n] - lam[n:], float(bias), it, gap <= tol)
 
 
 def train_svr(features, labels, hyperparams, fingerprint=""):
     """Train an RBF epsilon-SVR on standardized features.
 
     hyperparams is (C, epsilon, kernel_gamma). A degenerate all-equal label
-    set yields a constant-predicting model with no support vectors.
+    set yields a constant-predicting model with no support vectors, which
+    reports 0 SMO iterations and converged.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -92,13 +143,12 @@ def train_svr(features, labels, hyperparams, fingerprint=""):
     empty = np.zeros((0, X.shape[1]))
     if np.ptp(y) == 0.0:
         return SvrModel(empty, np.zeros(0), float(y[0]), gamma, shift, scale,
-                        (C, epsilon, gamma), fingerprint)
+                        (C, epsilon, gamma), fingerprint, (0, True))
 
-    K = _rbf(gamma, Xn, Xn)
-    beta, bias = _solve_smo(K, y, C, epsilon)
-    sv = np.abs(beta) > 1e-12
-    return SvrModel(Xn[sv].copy(), beta[sv].copy(), bias, gamma, shift, scale,
-                    (C, epsilon, gamma), fingerprint)
+    fit = _solve_smo(_rbf(gamma, Xn, Xn), y, C, epsilon)
+    sv = np.abs(fit.beta) > 1e-12
+    return SvrModel(Xn[sv].copy(), fit.beta[sv].copy(), fit.bias, gamma, shift, scale,
+                    (C, epsilon, gamma), fingerprint, (fit.iterations, fit.converged))
 
 
 def predict(model, x):

@@ -229,6 +229,16 @@ def test_eval_json_reports_per_trial_fit_details(tmp_path, rng, capsys):
     assert [len(hp) for hp in per_trial["hyperparams"]] == [3, 3]
     assert all(isinstance(c, bool) for c in per_trial["logistic_converged"])
     assert len(per_trial["logistic_converged"]) == 2
+    assert len(per_trial["smo_iterations"]) == 2
+    assert all(isinstance(k, int) and k > 0 for k in per_trial["smo_iterations"])
+    assert [type(c) for c in per_trial["smo_converged"]] == [bool, bool]
+
+
+def test_features_on_clip_shorter_than_filter_bank_exits_2(tmp_path, rng, capsys):
+    path = tmp_path / "short.y4m"
+    write_y4m(path, rng.uniform(0, 255, size=(8, 32, 32)), fps_num=60)
+    assert main(["features", str(path), str(path), "--scales", "1"]) == 2
+    assert "video too short for the temporal filter bank" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("y4m_tags, raw_fps, error", [

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stgreed import ggd
+from stgreed import features, ggd
+from stgreed.bandpass import build_packet_filters
 from stgreed.features import (EntropyField, GreedConfig,
                               append_cache_record, average_reference_entropies,
                               block_entropies, compute_features, read_cache,
@@ -141,6 +142,18 @@ def test_compute_features_validates_inputs(rng):
         compute_features(a, c, GreedConfig(scales=(1,)))
 
 
+def test_bior22_bank_needs_nine_frames(rng):
+    # compute_features needs 4 * T >= the longest filter, 36 taps for bior2.2
+    cfg = GreedConfig(scales=(1,))
+    assert build_packet_filters(cfg.wavelet, cfg.levels).max_length == 36
+    frames = rng.uniform(0, 255, size=(9, 24, 24))
+    v = LumaVideo(frames, 60)
+    assert np.all(compute_features(v, v, cfg).values == 0.0)
+    short = LumaVideo(frames[:8], 60)
+    with pytest.raises(ValueError, match="video too short for the temporal filter bank"):
+        compute_features(short, short, cfg)
+
+
 def test_compute_features_finite_and_job_invariant(rng):
     ref = LumaVideo(rng.uniform(0, 255, size=(16, 64, 64)), 60)
     pr = make_pseudo_reference(ref, 30)
@@ -190,6 +203,12 @@ def test_config_fingerprint_distinguishes():
     assert a.fingerprint() == GreedConfig().fingerprint()
     assert a.fingerprint() != GreedConfig(wavelet="haar").fingerprint()
     assert a.fingerprint() != GreedConfig(noise_var=0.2).fingerprint()
+
+
+def test_fingerprint_changes_with_feature_version(monkeypatch):
+    before = GreedConfig().fingerprint()
+    monkeypatch.setattr(features, "FEATURE_VERSION", features.FEATURE_VERSION + 1)
+    assert GreedConfig().fingerprint() != before
 
 
 def test_feature_cache_skips_unterminated_final_record(tmp_path):

@@ -88,6 +88,24 @@ def test_self_score_is_zero(v):
     assert np.all(feats.values == 0.0)
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(18, 24), st.integers(20, 40), st.integers(20, 40),
+       st.sampled_from([1, 2]), st.floats(-50.0, 50.0), st.integers(0, 2 ** 32 - 1))
+def test_luma_offset_leaves_features_unchanged(t, h, w, ratio, c, seed):
+    # The temporal bands have zero DC and spatial_ms subtracts the local mean,
+    # so a constant added to both videos, without clipping, cancels.
+    rng = np.random.default_rng(seed)
+    ref = rng.integers(0, 1024, size=(t, h, w)) * (255.0 / 1023.0)
+    dist = ref[::ratio] + rng.normal(0.0, 8.0, size=ref[::ratio].shape)
+    cfg = GreedConfig(scales=(1, 2))
+
+    def score(offset):
+        return compute_features(LumaVideo(ref + offset, 60),
+                                LumaVideo(dist + offset, Fraction(60, ratio)), cfg).values
+
+    np.testing.assert_allclose(score(c), score(0.0), rtol=1e-9, atol=0)
+
+
 def _padded_loop_filter(frames, taps):
     """Half-sample mirror padding, then one shifted multiply-add per tap."""
     n, length = frames.shape[0], len(taps)

@@ -17,6 +17,7 @@ def test_constant_labels_constant_model(rng):
     X = rng.normal(size=(10, 3))
     model = train_svr(X, np.full(10, 42.0), (10.0, 0.1, 0.5))
     assert len(model.dual_coeffs) == 0
+    assert model.smo == (0, True)
     assert predict(model, rng.normal(size=3)) == 42.0
     assert np.all(predict(model, rng.normal(size=(5, 3))) == 42.0)
 
@@ -106,6 +107,7 @@ def test_model_round_trip(tmp_path, rng):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.fingerprint == "abcd" * 4
+    assert model.smo is not None and loaded.smo is None  # solver work is not saved
     assert loaded.hyperparams == model.hyperparams
     probes = rng.normal(size=(100, 4))
     np.testing.assert_allclose(predict(loaded, probes), predict(model, probes),
@@ -123,6 +125,18 @@ def test_load_model_rejects_bad_files(tmp_path):
     p.write_text('{"format": "stgreed-svr", "version": 99}')
     with pytest.raises(ValueError, match="version"):
         load_model(p)
+
+
+def test_solve_smo_reports_iterations_and_convergence(rng):
+    X, y = _toy_problem(rng, n=30)
+    Xn = (X - X.mean(axis=0)) / X.std(axis=0)  # as train_svr standardizes
+    K = _rbf(0.5, Xn, Xn)
+    capped = _solve_smo(K, y, 10.0, 0.1, max_iter=1)
+    assert (capped.iterations, capped.converged) == (1, False)
+    full = _solve_smo(K, y, 10.0, 0.1)
+    assert full.converged and 1 < full.iterations < 200000
+    model = train_svr(X, y, (10.0, 0.1, 0.5))
+    assert model.smo == (full.iterations, True)
 
 
 def _reference_smo(K, y, C, epsilon, tol=1e-3, max_iter=200000):
