@@ -69,16 +69,22 @@ def _pair_features(args, cfg):
 
 def cmd_features(args):
     cfg = _config(args)
-    feats = _pair_features(args, cfg)
-    if args.format == "csv":
-        print(",".join(repr(float(v)) for v in feats.values))
-    else:
-        print(f"# config {cfg.fingerprint()}")
-        for v in feats.values:
-            print(repr(float(v)))
-    if args.cache:
-        append_cache_record(args.cache, args.ref, args.dist,
-                            args.content_id or args.ref, feats)
+    ref = _load_video(args.ref, args)
+    for i, path in enumerate(args.dist):
+        dist = _load_video(path, args, fps_override=args.dist_fps)
+        feats = compute_features(ref, dist, cfg, jobs=args.jobs)
+        if args.format == "csv":
+            print(",".join(repr(float(v)) for v in feats.values))
+        else:
+            if i == 0:
+                print(f"# config {cfg.fingerprint()}")
+            if len(args.dist) > 1:
+                print(f"# dist {path}")
+            for v in feats.values:
+                print(repr(float(v)))
+        if args.cache:
+            append_cache_record(args.cache, args.ref, path,
+                                args.content_id or args.ref, feats)
     return 0
 
 
@@ -148,14 +154,16 @@ def build_parser():
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     p = sub.add_parser("features", formatter_class=fmt,
-                       help="compute the 16-D feature vector for a video pair")
+                       help="compute the 16-D feature vector for a video pair, "
+                            "or for one reference and several distorted videos")
     p.add_argument("ref")
-    p.add_argument("dist")
-    p.add_argument("--dist-fps", help="frame rate of the distorted video (raw input)")
+    p.add_argument("dist", nargs="+",
+                   help="distorted videos, each scored against REF in turn")
+    p.add_argument("--dist-fps", help="frame rate of every distorted video (raw input)")
     p.add_argument("--jobs", type=int, default=1, help="worker count")
     p.add_argument("--format", default="text", choices=["text", "csv"])
-    p.add_argument("--cache", help="append the result to this feature cache file")
-    p.add_argument("--content-id", help="content id recorded in the cache")
+    p.add_argument("--cache", help="append one record per DIST to this feature cache file")
+    p.add_argument("--content-id", help="content id recorded in the cache for every DIST")
     _add_config_args(p)
     _add_video_args(p)
     p.set_defaults(func=cmd_features)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -145,6 +146,35 @@ def sgreed_frame(theta_ref, theta_dist):
     return _row_means(np.abs(theta_dist - theta_ref))
 
 
+# Reference-side work, kept per reference video and config fingerprint: a
+# reference scored against several distorted videos is pooled and filtered
+# once. An entry maps scale s to the pooled reference and (rate ratio, s, band)
+# to the EntropyField of the reference frame-dropped by that ratio (ratio 1 is
+# the reference itself; band None is the spatial field). Weak keys, so the
+# memo never keeps a video alive.
+_REFERENCE_STATE = weakref.WeakKeyDictionary()
+
+
+def _frozen(frames):
+    """True when no array in frames' base chain can be written and the chain
+    ends in an array that owns its memory, so work derived from frames cannot
+    go stale."""
+    a = frames
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+def _reference_state(ref, cfg):
+    """The memo entry for (ref, cfg), created empty on first use; a fresh,
+    unstored one when ref's frames could still change under it."""
+    if not _frozen(ref.frames):
+        return {}
+    return _REFERENCE_STATE.setdefault(ref, {}).setdefault(cfg.fingerprint(), {})
+
+
 def compute_features(ref, dist, config=None, jobs=1):
     """Run the full pipeline on a reference/distorted pair.
 
@@ -152,7 +182,9 @@ def compute_features(ref, dist, config=None, jobs=1):
     index per subband, concatenated in scale order with the spatial value
     first. Each video is pooled once from full resolution; the pseudo
     reference is the frame-dropped pooled reference (frame dropping and
-    spatial pooling commute).
+    spatial pooling commute). The reference's pooled frames and entropy
+    fields are kept with the reference object, so later calls with the same
+    reference reuse them; its frames must not change after it was built.
     """
     cfg = config or GreedConfig()
     if (ref.height, ref.width) != (dist.height, dist.width):
@@ -167,12 +199,15 @@ def compute_features(ref, dist, config=None, jobs=1):
 
     ratio = ref.fps / dist.fps
     n = min(dist.num_frames, int(ref.num_frames / ratio))  # frames compared
+    state = _reference_state(ref, cfg)
 
     # Incremental pyramid: s poolings then the difference to the next scale.
     pyramids = {}  # scale -> (ref, dist) frames at that scale
     r, d, prev_s = ref, dist, 0
     for s in sorted(cfg.scales):
-        r, d = downsample(r, s - prev_s), downsample(d, s - prev_s)
+        if s not in state:
+            state[s] = downsample(r, s - prev_s)
+        r, d = state[s], downsample(d, s - prev_s)
         prev_s = s
         pyramids[s] = (r.frames, d.frames)
 
@@ -186,11 +221,17 @@ def compute_features(ref, dist, config=None, jobs=1):
                       else temporal_filter(frames, bank.filters[k], k).coeffs)
             return block_entropies(coeffs, cfg.noise_var, cfg.patch_size)
 
-        eps_r, eps_d = entropies(r), entropies(d)
+        def reference_entropies(rate):
+            key = (rate, s, k)
+            if key not in state:
+                state[key] = entropies(r if rate == 1 else r[kept])
+            return state[key]
+
+        eps_r, eps_d = reference_entropies(1), entropies(d)
         eps_r_avg = average_reference_entropies(eps_r, ratio, n_out=n).values
         if k is None:
             return float(np.mean(sgreed_frame(eps_r_avg, eps_d.values[:n])))
-        eps_p = eps_r if ratio == 1 else entropies(r[kept])
+        eps_p = reference_entropies(ratio)
         return float(np.mean(tgreed_frame(eps_r_avg, eps_p.values[:n], eps_d.values[:n])))
 
     tasks = [(s, k) for s in cfg.scales for k in (None, *range(bank.num_bands))]

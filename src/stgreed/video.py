@@ -22,11 +22,13 @@ def _as_fraction(fps):
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LumaVideo:
     """A sequence of luma planes with a nominal frame rate.
 
     frames has shape (T, H, W) with real-valued samples in [0, 255].
+    Videos compare and hash by identity, so a video can key a memo of work
+    done on it (see features.compute_features).
     """
 
     frames: np.ndarray
@@ -146,6 +148,7 @@ def load_y4m(path):
     frames = np.empty((len(offsets), height, width), dtype=np.float64)
     for t, payload in enumerate(offsets):
         _store_luma(data, payload, height, width, ten_bit, frames[t])
+    frames.setflags(write=False)
     return LumaVideo(frames, fps)
 
 
@@ -186,6 +189,7 @@ def load_raw_yuv(path, width, height, fps, pixel_format="yuv420p"):
         for t in range(n):
             _store_luma(f.read(luma_bytes), 0, height, width, bps == 2, frames[t])
             f.seek(frame_bytes - luma_bytes, os.SEEK_CUR)
+    frames.setflags(write=False)
     return LumaVideo(frames, fps)
 
 
@@ -211,6 +215,7 @@ def downsample(video, s):
     for i, frame in enumerate(video.frames):
         rows = frame[:h2 * k, :w2 * k].reshape(h2, k, w2 * k).sum(axis=1)
         np.divide(rows.reshape(h2, w2, k).sum(axis=2), k * k, out=out[i])
+    out.setflags(write=False)
     return LumaVideo(out, video.fps)
 
 

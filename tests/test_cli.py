@@ -65,6 +65,40 @@ def test_features_appends_cache(video_pair, tmp_path, capsys):
     assert len(record["values"]) == 8
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_features_many_dists_equal_single_pairs(video_pair, tmp_path, capsys, fmt):
+    ref, dist = video_pair
+    third = str(tmp_path / "third.y4m")
+    frames = np.random.default_rng(5).uniform(0, 255, size=(4, 32, 32))
+    write_y4m(third, frames, fps_num=20)
+    dists = [dist, ref, third]
+    flags = ["--scales", "1", "--wavelet", "haar", "--format", fmt,
+             "--content-id", "c07"]
+
+    singles, single_cache = [], tmp_path / "single.jsonl"
+    for d in dists:
+        assert main(["features", ref, d, *flags, "--cache", str(single_cache)]) == 0
+        singles.append(capsys.readouterr().out)
+    many_cache = tmp_path / "many.jsonl"
+    assert main(["features", ref, *dists, *flags, "--cache", str(many_cache)]) == 0
+    many = capsys.readouterr().out
+
+    if fmt == "csv":
+        assert many == "".join(singles)
+    else:
+        config_line = singles[0].splitlines()[0]
+        assert config_line.startswith("# config ")
+        expected = [config_line]
+        for d, out in zip(dists, singles):
+            assert out.splitlines()[0] == config_line
+            expected += [f"# dist {d}", *out.splitlines()[1:]]
+        assert many.splitlines() == expected
+    assert many_cache.read_text() == single_cache.read_text()
+    records = [json.loads(line) for line in many_cache.read_text().splitlines()]
+    assert [(r["ref"], r["dist"], r["content"]) for r in records] == [
+        (ref, d, "c07") for d in dists]
+
+
 def _write_model(path, fingerprint, bias=42.0):
     X = np.zeros((2, 8))
     X[1] = 1.0
