@@ -215,6 +215,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout went away (`greed features ... | head`): exit
+        # as SIGPIPE would (128 + 13), silently. stdout now points at
+        # devnull, so the interpreter's last flush of it cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except FingerprintMismatch as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -26,9 +26,10 @@ def _as_fraction(fps):
 class LumaVideo:
     """A sequence of luma planes with a nominal frame rate.
 
-    frames has shape (T, H, W) with real-valued samples in [0, 255].
-    Videos compare and hash by identity, so a video can key a memo of work
-    done on it (see features.compute_features).
+    frames has shape (T, H, W) and holds uint8 samples (as the 8-bit
+    loaders return them) or finite floats, on [0, 255]. Videos compare and
+    hash by identity, so a video can key a memo of work done on it (see
+    features.compute_features).
     """
 
     frames: np.ndarray
@@ -37,6 +38,8 @@ class LumaVideo:
     def __post_init__(self):
         if self.frames.ndim != 3 or self.frames.shape[0] < 1:
             raise ValueError("frames must be a non-empty (T, H, W) array")
+        if self.frames.dtype.kind == "f" and not np.isfinite(self.frames).all():
+            raise ValueError("frames must be finite")
         object.__setattr__(self, "fps", _as_fraction(self.fps))
         if self.frames.flags.writeable:
             # Freeze a view, so the caller's own array stays writeable; an
@@ -65,16 +68,39 @@ class PseudoReference:
     kept_indices: list = field(default_factory=list)
 
 
-def _chroma_plane_bytes(width, height):
-    # 4:2:0 planar, two chroma planes at half resolution (ceil for odd dims)
-    return 2 * ((width + 1) // 2) * ((height + 1) // 2)
+# Samples in the two chroma planes of a W x H frame, by subsampling tag
+# (the subsampled planes round odd dimensions up).
+_CHROMA_SAMPLES = {
+    "420": lambda w, h: 2 * ((w + 1) // 2) * ((h + 1) // 2),
+    "422": lambda w, h: 2 * ((w + 1) // 2) * h,
+    "444": lambda w, h: 2 * w * h,
+    "mono": lambda w, h: 0,
+}
 
 
-def _store_luma(buf, offset, height, width, ten_bit, out):
-    """Decode one 8-bit or 10-bit little-endian luma plane into out, on [0, 255]."""
-    plane = np.frombuffer(buf, dtype="<u2" if ten_bit else np.uint8,
-                          count=width * height, offset=offset).reshape(height, width)
-    np.multiply(plane, 255.0 / 1023.0 if ten_bit else 1.0, out=out)
+def _frozen_view(stack):
+    """Make a stack this module allocated read-only and hand over a view of
+    it, so nobody can turn writing back on beneath the view."""
+    stack.setflags(write=False)
+    return stack.view()
+
+
+def _read_luma(f, offsets, height, width, ten_bit):
+    """Read the luma plane at each byte offset of f into one stack.
+
+    8-bit planes are kept as uint8 samples; 10-bit little-endian planes are
+    rescaled to float64 on [0, 255] through one reused sample buffer.
+    """
+    frames = np.empty((len(offsets), height, width), np.float64 if ten_bit else np.uint8)
+    codes = np.empty((height, width), "<u2") if ten_bit else None
+    for t, offset in enumerate(offsets):
+        plane = codes if ten_bit else frames[t]
+        f.seek(offset)
+        if f.readinto(plane) != plane.nbytes:
+            raise VideoFormatError(f"{f.name}: truncated luma plane at byte {offset}")
+        if ten_bit:
+            np.multiply(codes, 255.0 / 1023.0, out=frames[t])
+    return _frozen_view(frames)
 
 
 _Y4M_MAGIC = b"YUV4MPEG2"
@@ -83,73 +109,69 @@ _Y4M_MAGIC = b"YUV4MPEG2"
 def load_y4m(path):
     """Decode a YUV4MPEG2 file, keeping the luma plane only.
 
-    Supports 8-bit C420 variants and Cmono, plus their 10-bit "p10"
-    counterparts (rescaled to the [0, 255] range on load).
+    Supports 8-bit C420 variants, C422, C444 and Cmono, plus their 10-bit
+    "p10" counterparts. 8-bit frames stay uint8 samples; 10-bit frames are
+    rescaled to float64 on [0, 255] on load.
     """
     with open(path, "rb") as f:
-        data = f.read()
-    if not data.startswith(_Y4M_MAGIC):
-        raise VideoFormatError(f"{path}: not a Y4M stream (bad magic at byte 0)")
-    nl = data.find(b"\n")
-    if nl < 0:
-        raise VideoFormatError(f"{path}: unterminated stream header at byte {len(data)}")
-    header = data[len(_Y4M_MAGIC):nl].decode("ascii", errors="replace")
+        size = os.fstat(f.fileno()).st_size
+        line = f.readline()
+        if not line.startswith(_Y4M_MAGIC):
+            raise VideoFormatError(f"{path}: not a Y4M stream (bad magic at byte 0)")
+        if not line.endswith(b"\n"):
+            raise VideoFormatError(f"{path}: unterminated stream header at byte {size}")
+        nl = len(line) - 1
+        header = line[len(_Y4M_MAGIC):nl].decode("ascii", errors="replace")
 
-    tags = {tok[0]: tok[1:] for tok in header.split()}
-    if not {"W", "H", "F"} <= tags.keys():
-        raise VideoFormatError(f"{path}: stream header missing W/H/F tags (header ends at byte {nl})")
+        tags = {tok[0]: tok[1:] for tok in header.split()}
+        if not {"W", "H", "F"} <= tags.keys():
+            raise VideoFormatError(f"{path}: stream header missing W/H/F tags (header ends at byte {nl})")
 
-    def tag(key):
-        try:
-            if key == "F":
-                num, den = tags[key].split(":")
-                return _as_fraction(f"{num}/{den}")
-            if int(tags[key]) > 0:
-                return int(tags[key])
-        except ValueError:
-            pass
-        raise VideoFormatError(
-            f"{path}: bad {key} tag {key}{tags[key]} (header ends at byte {nl})")
-
-    width, height, fps = tag("W"), tag("H"), tag("F")
-    chroma = tags.get("C", "420")
-
-    ten_bit = chroma.endswith("p10")
-    base = chroma[:-3] if ten_bit else chroma
-    if base.startswith("420"):
-        mono = False
-    elif base == "mono":
-        mono = True
-    else:
-        raise VideoFormatError(f"{path}: unsupported chroma tag C{chroma}")
-
-    bps = 2 if ten_bit else 1
-    luma_bytes = width * height * bps
-    frame_bytes = luma_bytes + (0 if mono else _chroma_plane_bytes(width, height) * bps)
-
-    # Locate every frame first, so the luma planes decode straight into one
-    # preallocated stack instead of a list that np.stack would copy.
-    offsets = []
-    pos = nl + 1
-    while pos < len(data):
-        fnl = data.find(b"\n", pos)
-        if fnl < 0 or not data[pos:pos + 5] == b"FRAME":
-            raise VideoFormatError(f"{path}: expected FRAME header at byte {pos}")
-        payload = fnl + 1
-        if payload + frame_bytes > len(data):
+        def tag(key):
+            try:
+                if key == "F":
+                    num, den = tags[key].split(":")
+                    return _as_fraction(f"{num}/{den}")
+                if int(tags[key]) > 0:
+                    return int(tags[key])
+            except ValueError:
+                pass
             raise VideoFormatError(
-                f"{path}: truncated frame payload at byte {payload}: "
-                f"expected {frame_bytes} bytes, got {len(data) - payload}")
-        offsets.append(payload)
-        pos = payload + frame_bytes
+                f"{path}: bad {key} tag {key}{tags[key]} (header ends at byte {nl})")
 
-    if not offsets:
-        raise VideoFormatError(f"{path}: stream contains no frames")
-    frames = np.empty((len(offsets), height, width), dtype=np.float64)
-    for t, payload in enumerate(offsets):
-        _store_luma(data, payload, height, width, ten_bit, frames[t])
-    frames.setflags(write=False)
-    return LumaVideo(frames, fps)
+        width, height, fps = tag("W"), tag("H"), tag("F")
+        chroma = tags.get("C", "420")
+
+        ten_bit = chroma.endswith("p10")
+        base = chroma[:-3] if ten_bit else chroma
+        if base.startswith("420"):
+            base = "420"
+        if base not in _CHROMA_SAMPLES:
+            raise VideoFormatError(f"{path}: unsupported chroma tag C{chroma}")
+
+        bps = 2 if ten_bit else 1
+        frame_bytes = (width * height + _CHROMA_SAMPLES[base](width, height)) * bps
+
+        # Seek from one FRAME header to the next to count the frames, so the
+        # luma planes can then be read straight into one preallocated stack.
+        offsets = []
+        pos = nl + 1
+        while pos < size:
+            f.seek(pos)
+            line = f.readline()
+            if not (line.startswith(b"FRAME") and line.endswith(b"\n")):
+                raise VideoFormatError(f"{path}: expected FRAME header at byte {pos}")
+            payload = pos + len(line)
+            if payload + frame_bytes > size:
+                raise VideoFormatError(
+                    f"{path}: truncated frame payload at byte {payload}: "
+                    f"expected {frame_bytes} bytes, got {size - payload}")
+            offsets.append(payload)
+            pos = payload + frame_bytes
+
+        if not offsets:
+            raise VideoFormatError(f"{path}: stream contains no frames")
+        return LumaVideo(_read_luma(f, offsets, height, width, ten_bit), fps)
 
 
 def save_y4m(video, path):
@@ -165,7 +187,11 @@ def save_y4m(video, path):
 
 
 def load_raw_yuv(path, width, height, fps, pixel_format="yuv420p"):
-    """Decode a headerless planar YUV file with caller-supplied geometry."""
+    """Decode a headerless planar YUV file with caller-supplied geometry.
+
+    yuv420p frames stay uint8 samples; yuv420p10le frames are rescaled to
+    float64 on [0, 255].
+    """
     if width <= 0 or height <= 0:
         raise ValueError(f"invalid dimensions {width}x{height}")
     fps = _as_fraction(fps)
@@ -176,20 +202,14 @@ def load_raw_yuv(path, width, height, fps, pixel_format="yuv420p"):
     else:
         raise VideoFormatError(f"unsupported pixel format {pixel_format!r}")
 
-    luma_bytes = width * height * bps
-    frame_bytes = luma_bytes + _chroma_plane_bytes(width, height) * bps
+    frame_bytes = (width * height + _CHROMA_SAMPLES["420"](width, height)) * bps
     size = os.path.getsize(path)
     if size == 0 or size % frame_bytes != 0:
         raise VideoFormatError(
             f"{path}: truncated: expected a multiple of {frame_bytes} bytes, got {size}")
-    n = size // frame_bytes
 
-    frames = np.empty((n, height, width), dtype=np.float64)
     with open(path, "rb") as f:
-        for t in range(n):
-            _store_luma(f.read(luma_bytes), 0, height, width, bps == 2, frames[t])
-            f.seek(frame_bytes - luma_bytes, os.SEEK_CUR)
-    frames.setflags(write=False)
+        frames = _read_luma(f, range(0, size, frame_bytes), height, width, bps == 2)
     return LumaVideo(frames, fps)
 
 
@@ -199,24 +219,32 @@ def downsample(video, s):
     This equals s passes of 2x2 average pooling, each truncating an odd
     trailing row/column (the output is (H >> s) x (W >> s)), up to rounding.
     Frames are pooled one at a time, so temporaries stay one frame in size;
-    fps is unchanged.
+    fps is unchanged. The output frames are float64 (s = 0 converts integer
+    samples and keeps float frames as they are). Integer samples are pooled
+    with exact integer block sums, so uint8 frames pool to exactly what the
+    same frames as float64 pool to.
     """
     if s < 0:
         raise ValueError("scale exponent must be >= 0")
     s = int(s)
+    frames = video.frames
     if s == 0:
-        return LumaVideo(video.frames, video.fps)
-    t, h, w = video.frames.shape
+        if frames.dtype.kind == "f":
+            return LumaVideo(frames, video.fps)
+        return LumaVideo(_frozen_view(frames.astype(np.float64)), video.fps)
+    t, h, w = frames.shape
     k = 1 << s
     h2, w2 = h >> s, w >> s
     if h2 < 1 or w2 < 1:
         raise ValueError(f"downsampling by {k} would shrink {h}x{w} below 1x1")
+    # A column of k uint8 samples sums to at most 255 * k, which fits uint16
+    # up to k = 257; other dtypes sum in numpy's default accumulator.
+    column_dtype = np.uint16 if frames.dtype == np.uint8 and k <= 257 else None
     out = np.empty((t, h2, w2), dtype=np.float64)
-    for i, frame in enumerate(video.frames):
-        rows = frame[:h2 * k, :w2 * k].reshape(h2, k, w2 * k).sum(axis=1)
+    for i, frame in enumerate(frames):
+        rows = frame[:h2 * k, :w2 * k].reshape(h2, k, w2 * k).sum(axis=1, dtype=column_dtype)
         np.divide(rows.reshape(h2, w2, k).sum(axis=2), k * k, out=out[i])
-    out.setflags(write=False)
-    return LumaVideo(out, video.fps)
+    return LumaVideo(_frozen_view(out), video.fps)
 
 
 def kept_indices(n_ref, ref_fps, dist_fps):

@@ -1,5 +1,7 @@
 import json
+import os
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -310,3 +312,40 @@ def test_features_accepts_upper_case_y4m_suffix(video_pair, tmp_path, capsys):
     lower_out = capsys.readouterr().out
     assert main(["features", *upper, *args]) == 0
     assert capsys.readouterr().out == lower_out
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is the test's own, never pytest's."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+def test_features_into_closed_pipe_exits_141_silently(video_pair, tmp_path, capsys,
+                                                     monkeypatch):
+    ref, dist = video_pair
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main(["features", ref, dist, "--scales", "1", "--wavelet", "haar"]) == 141
+        os.write(fd, b"the interpreter's last flush")  # lands in devnull now
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+    assert target.read_bytes() == b""
+
+
+@pytest.mark.parametrize("chroma", ["C411", "C444alpha"])
+def test_unsupported_chroma_exits_2(tmp_path, capsys, chroma):
+    path = tmp_path / "v.y4m"
+    path.write_bytes(f"YUV4MPEG2 W4 H4 F30:1 {chroma}\nFRAME\n".encode() + bytes(64))
+    assert main(["features", str(path), str(path)]) == 2
+    assert f"unsupported chroma tag {chroma}" in capsys.readouterr().err

@@ -10,7 +10,9 @@ from stgreed.features import (EntropyField, GreedConfig,
                               append_cache_record, average_reference_entropies,
                               block_entropies, compute_features, read_cache,
                               sgreed_frame, tgreed_frame)
-from stgreed.video import LumaVideo, make_pseudo_reference
+from stgreed.video import LumaVideo, kept_indices, load_y4m, make_pseudo_reference
+
+from conftest import write_y4m
 
 
 def test_block_entropies_all_zero_frame():
@@ -222,3 +224,20 @@ def test_feature_cache_skips_unterminated_final_record(tmp_path):
         cache = read_cache(path, fingerprint=cfg.fingerprint())
     assert set(cache) == {("r.y4m", "d.y4m")}
     np.testing.assert_array_equal(cache[("r.y4m", "d.y4m")]["values"], np.arange(16.0))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("dist_fps", [Fraction(120), Fraction(60), Fraction(82)])
+def test_uint8_frames_score_as_their_float64_values(tmp_path, rng, dist_fps, jobs):
+    ref = rng.integers(0, 256, size=(30, 160, 192)).astype(np.uint8)
+    kept = kept_indices(30, 120, dist_fps)
+    dist = np.clip(ref[kept] + rng.normal(0, 12, size=(len(kept), 160, 192)), 0, 255)
+    write_y4m(tmp_path / "ref.y4m", ref, fps_num=120)
+    write_y4m(tmp_path / "dist.y4m", np.rint(dist), fps_num=dist_fps)
+    ref8, dist8 = load_y4m(tmp_path / "ref.y4m"), load_y4m(tmp_path / "dist.y4m")
+    assert ref8.frames.dtype == dist8.frames.dtype == np.uint8
+    got = compute_features(ref8, dist8, jobs=jobs).values
+    want = compute_features(LumaVideo(ref8.frames.astype(np.float64), 120),
+                            LumaVideo(dist8.frames.astype(np.float64), dist_fps),
+                            jobs=jobs).values
+    assert np.array_equal(got, want)

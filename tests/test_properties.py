@@ -41,6 +41,17 @@ def test_one_shot_pooling_equals_repeated_halving(v, s):
 
 
 @_SETTINGS
+@given(st.integers(1, 3), st.integers(1, 70), st.integers(1, 70), st.integers(0, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_uint8_pooling_equals_float64_pooling(t, h, w, s, seed):
+    assume((h >> s) >= 1 and (w >> s) >= 1)
+    samples = np.random.default_rng(seed).integers(0, 256, size=(t, h, w)).astype(np.uint8)
+    got = downsample(LumaVideo(samples, 30), s).frames
+    assert got.dtype == np.float64
+    assert np.array_equal(got, downsample(LumaVideo(samples.astype(np.float64), 30), s).frames)
+
+
+@_SETTINGS
 @given(videos(max_frames=30, min_side=8), st.integers(1, 120), st.integers(0, 3))
 def test_frame_dropping_commutes_with_pooling(v, dist_fps, s):
     dist_fps = Fraction(min(dist_fps, v.fps))

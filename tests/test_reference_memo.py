@@ -20,7 +20,9 @@ import pytest
 
 from stgreed import features
 from stgreed.features import GreedConfig, compute_features
-from stgreed.video import LumaVideo, kept_indices
+from stgreed.video import LumaVideo, kept_indices, load_y4m
+
+from conftest import write_y4m
 
 REF_FPS = 120
 # Ratio 1, the paper's non-integer 120/98 and 120/82, and integer 2 and 5.
@@ -141,3 +143,23 @@ def test_videos_hash_by_identity(ladder):
     for v in (a, b):
         compute_features(v, dists[Fraction(120)])
     assert features._REFERENCE_STATE[a] is not features._REFERENCE_STATE[b]
+
+
+def test_loaded_reference_cannot_be_unfrozen_and_stays_memoised(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    frames = rng.integers(0, 256, size=(20, 160, 192)).astype(np.uint8)
+    write_y4m(tmp_path / "ref.y4m", frames, fps_num=REF_FPS)
+    write_y4m(tmp_path / "dist.y4m", frames[::2], fps_num=REF_FPS // 2)
+    ref, dist = load_y4m(tmp_path / "ref.y4m"), load_y4m(tmp_path / "dist.y4m")
+    first = compute_features(ref, dist).values
+    with pytest.raises(ValueError):
+        ref.frames.setflags(write=True)
+
+    pooled = []
+    downsample = features.downsample
+    monkeypatch.setattr(features, "downsample",
+                        lambda video, s: pooled.append(video) or downsample(video, s))
+    assert np.array_equal(compute_features(ref, dist).values, first)
+    assert ref in features._REFERENCE_STATE
+    assert len(pooled) == len(GreedConfig().scales)  # the distorted video only
+    assert not any(v is ref for v in pooled)

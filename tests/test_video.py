@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stgreed.video import (LumaVideo, VideoFormatError, downsample,
+from stgreed.video import (LumaVideo, VideoFormatError, _read_luma, downsample,
                            load_raw_yuv, load_y4m, make_pseudo_reference,
                            save_y4m)
 
@@ -38,7 +38,7 @@ def test_load_y4m_truncated_frame(tmp_path):
 
 def test_load_y4m_unsupported_chroma(tmp_path):
     path = tmp_path / "v.y4m"
-    path.write_bytes(b"YUV4MPEG2 W4 H4 F30:1 C444\nFRAME\n" + b"\x00" * 48)
+    path.write_bytes(b"YUV4MPEG2 W4 H4 F30:1 C411\nFRAME\n" + b"\x00" * 48)
     with pytest.raises(VideoFormatError, match="unsupported chroma"):
         load_y4m(path)
 
@@ -230,3 +230,120 @@ def test_video_freezes_a_view_not_the_callers_array():
     a[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         video.frames[0, 0, 0] = 2.0
+
+
+def test_eight_bit_loaders_keep_uint8_samples(tmp_path):
+    rng = np.random.default_rng(13)
+    luma = rng.integers(0, 256, size=(2, 8, 16)).astype(np.uint8)
+    y4m, raw = tmp_path / "v.y4m", tmp_path / "v.yuv"
+    write_y4m(y4m, luma)
+    with open(raw, "wb") as f:
+        for plane in luma:
+            f.write(plane.tobytes() + bytes(64))
+    for v in (load_y4m(y4m), load_raw_yuv(raw, 16, 8, 30)):
+        assert v.frames.dtype == np.uint8
+        np.testing.assert_array_equal(v.frames, luma)
+        pooled = downsample(v, 0).frames
+        assert pooled.dtype == np.float64
+        np.testing.assert_array_equal(pooled, luma.astype(np.float64))
+
+
+def _write_planar_y4m(path, luma, chroma_tag, chroma_samples, rng):
+    """Y4M with the given luma planes and random chroma of the given size."""
+    t, h, w = luma.shape
+    with open(path, "wb") as f:
+        f.write(f"YUV4MPEG2 W{w} H{h} F60:1 C{chroma_tag}\n".encode())
+        for plane in luma:
+            chroma = rng.integers(0, 1024 if luma.dtype.itemsize == 2 else 256,
+                                  size=chroma_samples).astype(luma.dtype)
+            f.write(b"FRAME\n" + plane.tobytes() + chroma.tobytes())
+
+
+@pytest.mark.parametrize("ten_bit", [False, True])
+@pytest.mark.parametrize("tag, chroma_samples", [("422", 2 * 4 * 5), ("444", 2 * 7 * 5)])
+def test_load_y4m_422_and_444_luma_equals_420(tmp_path, tag, chroma_samples, ten_bit):
+    rng = np.random.default_rng(14)
+    dtype, suffix = ("<u2", "p10") if ten_bit else (np.uint8, "")
+    luma = rng.integers(0, 1024 if ten_bit else 256, size=(3, 5, 7)).astype(dtype)
+    _write_planar_y4m(tmp_path / "a.y4m", luma, "420" + suffix, 2 * 4 * 3, rng)
+    _write_planar_y4m(tmp_path / "b.y4m", luma, tag + suffix, chroma_samples, rng)
+    want, got = load_y4m(tmp_path / "a.y4m").frames, load_y4m(tmp_path / "b.y4m").frames
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+_Y4M_HEAD = b"YUV4MPEG2 W10 H6 F30:1 Ip A1:1 C420jpeg\n"  # 40 bytes
+
+
+def _y4m_bytes(luma, frame_header):
+    chroma = bytes([128]) * (2 * 3 * 5)
+    return _Y4M_HEAD + b"".join(frame_header + p.tobytes() + chroma for p in luma)
+
+
+@pytest.mark.parametrize("frame_header, payload_at", [(b"FRAME\n", 238),
+                                                      (b"FRAME Ixyz\n", 253)])
+def test_load_y4m_frame_parameters_and_truncation(tmp_path, frame_header, payload_at):
+    luma = (np.arange(3 * 6 * 10) % 251).astype(np.uint8).reshape(3, 6, 10)
+    data = _y4m_bytes(luma, frame_header)
+    path = tmp_path / "v.y4m"
+    path.write_bytes(data)
+    np.testing.assert_array_equal(load_y4m(path).frames, luma)
+    # Cut 37 bytes into the third frame's 90-byte payload.
+    path.write_bytes(data[:payload_at + 37])
+    with pytest.raises(VideoFormatError) as exc:
+        load_y4m(path)
+    assert str(exc.value) == (f"{path}: truncated frame payload at byte {payload_at}: "
+                              "expected 90 bytes, got 37")
+
+
+@pytest.mark.parametrize("third_frame", [b"FRAMX\n", b"FRAME", b"FR\nAME\n"])
+def test_load_y4m_bad_frame_header_offset(tmp_path, third_frame):
+    luma = np.zeros((2, 6, 10), dtype=np.uint8)
+    path = tmp_path / "v.y4m"
+    path.write_bytes(_y4m_bytes(luma, b"FRAME\n") + third_frame + bytes(90))
+    with pytest.raises(VideoFormatError) as exc:
+        load_y4m(path)
+    assert str(exc.value) == f"{path}: expected FRAME header at byte 232"
+
+
+def test_read_luma_rejects_a_short_read(tmp_path):
+    # A file that shrinks after the frame scan leaves the last plane short.
+    path = tmp_path / "v.yuv"
+    path.write_bytes(bytes(100))
+    with open(path, "rb") as f:
+        with pytest.raises(VideoFormatError, match="truncated luma plane at byte 90"):
+            _read_luma(f, [0, 90], 4, 5, False)
+
+
+def _stack_owners(tmp_path):
+    """Videos whose stacks the loaders or downsample allocated."""
+    rng = np.random.default_rng(15)
+    luma = rng.integers(0, 256, size=(2, 8, 16)).astype(np.uint8)
+    write_y4m(tmp_path / "v.y4m", luma)
+    with open(tmp_path / "v10.y4m", "wb") as f:
+        f.write(b"YUV4MPEG2 W16 H8 F30:1 C420p10\n")
+        for plane in luma.astype("<u2") * 4:
+            f.write(b"FRAME\n" + plane.tobytes() + bytes(2 * 64))
+    with open(tmp_path / "v.yuv", "wb") as f:
+        for plane in luma:
+            f.write(plane.tobytes() + bytes(64))
+    v8 = load_y4m(tmp_path / "v.y4m")
+    return [v8, load_y4m(tmp_path / "v10.y4m"), load_raw_yuv(tmp_path / "v.yuv", 16, 8, 30),
+            downsample(v8, 0), downsample(v8, 1)]
+
+
+def test_loaded_frames_cannot_be_made_writeable(tmp_path):
+    for video in _stack_owners(tmp_path):
+        with pytest.raises(ValueError):
+            video.frames.setflags(write=True)
+        with pytest.raises(ValueError):
+            video.frames[0, 0, 0] = 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_video_rejects_non_finite_frames(bad):
+    frames = np.zeros((2, 4, 4))
+    frames[1, 2, 3] = bad
+    with pytest.raises(ValueError, match="frames must be finite"):
+        LumaVideo(frames, 30)
+    assert LumaVideo(np.zeros((2, 4, 4), dtype=np.uint8), 30).num_frames == 2
