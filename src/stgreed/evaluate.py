@@ -143,8 +143,14 @@ def read_manifest(path):
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: manifest must have columns {sorted(required)}")
         for r in reader:
-            rows.append(DatasetRow(r["content_id"], r["ref"], r["dist"],
-                                   Fraction(r["fps"]), r["tag"], float(r["dmos"])))
+            where = f"{path}:{reader.line_num}"
+            if any(r[k] is None for k in required):
+                raise ValueError(f"{where}: manifest row has too few fields")
+            try:
+                rows.append(DatasetRow(r["content_id"], r["ref"], r["dist"],
+                                       Fraction(r["fps"]), r["tag"], float(r["dmos"])))
+            except (ValueError, ZeroDivisionError) as e:
+                raise ValueError(f"{where}: bad manifest row: {e}") from e
     if not rows:
         raise ValueError(f"{path}: empty manifest")
     return rows

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import warnings
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -146,35 +145,6 @@ def sgreed_frame(theta_ref, theta_dist):
     return _row_means(np.abs(theta_dist - theta_ref))
 
 
-# Reference-side work, kept per reference video and config fingerprint: a
-# reference scored against several distorted videos is pooled and filtered
-# once. An entry maps scale s to the pooled reference and (rate ratio, s, band)
-# to the EntropyField of the reference frame-dropped by that ratio (ratio 1 is
-# the reference itself; band None is the spatial field). Weak keys, so the
-# memo never keeps a video alive.
-_REFERENCE_STATE = weakref.WeakKeyDictionary()
-
-
-def _frozen(frames):
-    """True when no array in frames' base chain can be written and the chain
-    ends in an array that owns its memory, so work derived from frames cannot
-    go stale."""
-    a = frames
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None
-
-
-def _reference_state(ref, cfg):
-    """The memo entry for (ref, cfg), created empty on first use; a fresh,
-    unstored one when ref's frames could still change under it."""
-    if not _frozen(ref.frames):
-        return {}
-    return _REFERENCE_STATE.setdefault(ref, {}).setdefault(cfg.fingerprint(), {})
-
-
 def compute_features(ref, dist, config=None, jobs=1):
     """Run the full pipeline on a reference/distorted pair.
 
@@ -194,12 +164,14 @@ def compute_features(ref, dist, config=None, jobs=1):
     kept = kept_indices(ref.num_frames, ref.fps, dist.fps)
 
     bank = build_packet_filters(cfg.wavelet, cfg.levels)
-    if min(ref.num_frames, dist.num_frames) * 4 < bank.max_length:
+    if min(len(kept), dist.num_frames) * 4 < bank.max_length:
         raise ValueError("video too short for the temporal filter bank")
 
     ratio = ref.fps / dist.fps
     n = min(dist.num_frames, int(ref.num_frames / ratio))  # frames compared
-    state = _reference_state(ref, cfg)
+    # Reference-side work: scale s -> pooled reference; (rate ratio, s, band)
+    # -> entropies of the reference dropped to that rate (band None: spatial).
+    state = ref._memo_for(cfg.fingerprint())
 
     # Incremental pyramid: s poolings then the difference to the next scale.
     pyramids = {}  # scale -> (ref, dist) frames at that scale
@@ -261,9 +233,9 @@ def append_cache_record(path, ref_id, dist_id, content_id, feats):
 def read_cache(path, fingerprint=None):
     """Load cached feature records keyed by (ref, dist).
 
-    A corrupt record raises ValueError, except an unterminated final line
-    (what a crash inside append_cache_record leaves), which is skipped with
-    a warning.
+    A corrupt or incomplete record raises ValueError, except an unterminated
+    final line (what a crash inside append_cache_record leaves), which is
+    skipped with a warning.
     """
     out = {}
     with open(path) as f:
@@ -278,6 +250,10 @@ def read_cache(path, fingerprint=None):
                                   f"cache record: {e}", stacklevel=2)
                     continue
                 raise ValueError(f"{path}:{line_no}: corrupt cache record: {e}") from e
+            if not (isinstance(rec, dict)
+                    and {"fingerprint", "ref", "dist", "content", "values"} <= rec.keys()):
+                raise ValueError(f"{path}:{line_no}: cache record must be an object with "
+                                 "fingerprint, ref, dist, content and values")
             if fingerprint is not None and rec["fingerprint"] != fingerprint:
                 continue
             out[(rec["ref"], rec["dist"])] = {

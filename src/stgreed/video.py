@@ -28,12 +28,13 @@ class LumaVideo:
 
     frames has shape (T, H, W) and holds uint8 samples (as the 8-bit
     loaders return them) or finite floats, on [0, 255]. Videos compare and
-    hash by identity, so a video can key a memo of work done on it (see
-    features.compute_features).
+    hash by identity. A video keeps a memo of work derived from its frames
+    (see features.compute_features), which goes when the video does.
     """
 
     frames: np.ndarray
     fps: Fraction
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.frames.ndim != 3 or self.frames.shape[0] < 1:
@@ -46,6 +47,13 @@ class LumaVideo:
             # array that is already read-only is kept as it is.
             object.__setattr__(self, "frames", self.frames.view())
             self.frames.setflags(write=False)
+
+    def _memo_for(self, key):
+        """The memo entry for key (a config fingerprint), created empty on
+        first use; a fresh, unstored one when the frames could still change."""
+        if not _frozen(self.frames):
+            return {}
+        return self._memo.setdefault(key, {})
 
     @property
     def num_frames(self):
@@ -76,6 +84,18 @@ _CHROMA_SAMPLES = {
     "444": lambda w, h: 2 * w * h,
     "mono": lambda w, h: 0,
 }
+
+
+def _frozen(frames):
+    """True when no array in frames' base chain can be written and the chain
+    ends in an array that owns its memory, so work derived from frames cannot
+    go stale."""
+    a = frames
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
 
 
 def _frozen_view(stack):
@@ -109,9 +129,9 @@ _Y4M_MAGIC = b"YUV4MPEG2"
 def load_y4m(path):
     """Decode a YUV4MPEG2 file, keeping the luma plane only.
 
-    Supports 8-bit C420 variants, C422, C444 and Cmono, plus their 10-bit
-    "p10" counterparts. 8-bit frames stay uint8 samples; 10-bit frames are
-    rescaled to float64 on [0, 255] on load.
+    Supports C420 (also its 8-bit jpeg, paldv and mpeg2 sitings), C422, C444
+    and Cmono, plus their 10-bit "p10" counterparts. 8-bit frames stay uint8
+    samples; 10-bit frames are rescaled to float64 on [0, 255] on load.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -142,10 +162,10 @@ def load_y4m(path):
         width, height, fps = tag("W"), tag("H"), tag("F")
         chroma = tags.get("C", "420")
 
+        if chroma in ("420jpeg", "420paldv", "420mpeg2"):  # 8-bit 4:2:0 siting variants
+            chroma = "420"
         ten_bit = chroma.endswith("p10")
         base = chroma[:-3] if ten_bit else chroma
-        if base.startswith("420"):
-            base = "420"
         if base not in _CHROMA_SAMPLES:
             raise VideoFormatError(f"{path}: unsupported chroma tag C{chroma}")
 

@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ def test_train_and_eval_smoke(tmp_path, rng, capsys):
                  "--trials", "2", "--json", report_path]) == 0
     out_text = capsys.readouterr().out
     assert "SROCC" in out_text and "RMSE" in out_text
-    report = json.loads(open(report_path).read())
+    report = json.loads(Path(report_path).read_text())
     assert report["n_trials"] == 2
     assert len(report["per_trial"]["srocc"]) == 2
 
@@ -195,11 +196,32 @@ def test_eval_empty_manifest_exits_2(tmp_path, capsys):
     assert "empty manifest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["train", "eval"])
+@pytest.mark.parametrize("bad_file, line, error", [
+    ("cache", '{"ref": "a"}', "cache.jsonl:1: cache record must be an object"),
+    ("cache", "[1,2]", "cache.jsonl:1: cache record must be an object"),
+    ("manifest", "c,a,b", "manifest.csv:2: manifest row has too few fields"),
+    ("manifest", "c,a,b,1/0,v,3", "manifest.csv:2: bad manifest row"),
+], ids=["cache-missing-fields", "cache-not-an-object", "manifest-short-row",
+        "manifest-zero-fps"])
+def test_malformed_dataset_file_exits_2(tmp_path, rng, capsys, cmd, bad_file, line, error):
+    manifest, cache = _write_dataset(tmp_path, rng, n_contents=3, per_content=2)
+    path = Path(manifest if bad_file == "manifest" else cache)
+    if bad_file == "manifest":
+        text = path.read_text().split("\n", 1)
+        path.write_text(f"{text[0]}\n{line}\n{text[1]}")
+    else:
+        path.write_text(f"{line}\n{path.read_text()}")
+    extra = ["--out", str(tmp_path / "m.json")] if cmd == "train" else []
+    assert main([cmd, "--manifest", manifest, "--cache", cache, *extra]) == 2
+    assert error in capsys.readouterr().err
+
+
 def test_train_missing_cache_pairs_listed(tmp_path, rng, capsys):
     manifest, cache = _write_dataset(tmp_path, rng, n_contents=3, per_content=2)
     # drop the first cached record
-    lines = open(cache).read().strip().split("\n")
-    open(cache, "w").write("\n".join(lines[1:]) + "\n")
+    lines = Path(cache).read_text().strip().split("\n")
+    Path(cache).write_text("\n".join(lines[1:]) + "\n")
     rc = main(["train", "--manifest", manifest, "--cache", cache,
                "--out", str(tmp_path / "m.json")])
     assert rc == 2
@@ -343,7 +365,7 @@ def test_features_into_closed_pipe_exits_141_silently(video_pair, tmp_path, caps
     assert target.read_bytes() == b""
 
 
-@pytest.mark.parametrize("chroma", ["C411", "C444alpha"])
+@pytest.mark.parametrize("chroma", ["C411", "C444alpha", "C420p12", "C420p9", "C420jpegp10"])
 def test_unsupported_chroma_exits_2(tmp_path, capsys, chroma):
     path = tmp_path / "v.y4m"
     path.write_bytes(f"YUV4MPEG2 W4 H4 F30:1 {chroma}\nFRAME\n".encode() + bytes(64))

@@ -156,6 +156,18 @@ def test_bior22_bank_needs_nine_frames(rng):
         compute_features(short, short, cfg)
 
 
+def test_filter_bank_guard_counts_the_frame_dropped_reference(rng, monkeypatch):
+    # 9 frames at 60 fps dropped to 30 fps keep 5, too few for 36 taps, even
+    # though both inputs have 9 frames: the guard fires before any pooling.
+    frames = rng.uniform(0, 255, size=(9, 24, 24))
+    ref, dist = LumaVideo(frames, 60), LumaVideo(frames, 30)
+    pooled = []
+    monkeypatch.setattr(features, "downsample", lambda video, s: pooled.append(s))
+    with pytest.raises(ValueError, match="video too short for the temporal filter bank"):
+        compute_features(ref, dist, GreedConfig(scales=(1,)))
+    assert pooled == []
+
+
 def test_compute_features_finite_and_job_invariant(rng):
     ref = LumaVideo(rng.uniform(0, 255, size=(16, 64, 64)), 60)
     pr = make_pseudo_reference(ref, 30)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from stgreed import features
+from stgreed.bandpass import build_packet_filters
 from stgreed.features import GreedConfig, compute_features
 from stgreed.video import LumaVideo, kept_indices, load_y4m
 
@@ -70,7 +71,7 @@ def test_memoised_features_equal_fresh(ladder, fresh, jobs, order):
         for cfg, fps in calls:
             got = compute_features(ref, dists[fps], cfg, jobs=jobs).values
             assert np.array_equal(got, fresh[cfg, fps]), (cfg, fps)
-    assert set(features._REFERENCE_STATE[ref]) == {cfg.fingerprint() for cfg in CONFIGS}
+    assert set(ref._memo) == {cfg.fingerprint() for cfg in CONFIGS}
 
 
 def test_concurrent_calls_share_one_reference(ladder, fresh):
@@ -101,6 +102,21 @@ def test_concurrent_calls_share_one_reference(ladder, fresh):
         assert np.array_equal(results[i], fresh[cfg, fps]), fps
 
 
+@pytest.mark.parametrize("fps", [Fraction(120), Fraction(82)])
+def test_second_call_at_a_rate_scores_only_the_distorted_video(ladder, monkeypatch, fps):
+    ref_frames, dists = ladder
+    ref, cfg = LumaVideo(ref_frames, REF_FPS), GreedConfig()
+    first = compute_features(ref, dists[fps], cfg).values
+
+    calls = []
+    block_entropies = features.block_entropies
+    monkeypatch.setattr(features, "block_entropies",
+                        lambda *args: calls.append(args) or block_entropies(*args))
+    assert np.array_equal(compute_features(ref, dists[fps], cfg).values, first)
+    num_bands = build_packet_filters(cfg.wavelet, cfg.levels).num_bands
+    assert len(calls) == len(cfg.scales) * (1 + num_bands)
+
+
 def test_writable_frames_are_not_memoised(ladder):
     ref_frames, dists = ladder
     mine = np.array(ref_frames)  # the caller keeps a writeable array
@@ -111,7 +127,7 @@ def test_writable_frames_are_not_memoised(ladder):
     got = compute_features(ref, dist).values
     want = compute_features(LumaVideo(_read_only(mine), REF_FPS), dist).values
     assert np.array_equal(got, want)
-    assert ref not in features._REFERENCE_STATE
+    assert ref._memo == {}
 
 
 def test_read_only_view_of_writable_array_is_not_memoised(ladder):
@@ -121,7 +137,7 @@ def test_read_only_view_of_writable_array_is_not_memoised(ladder):
     view.setflags(write=False)
     ref = LumaVideo(view, REF_FPS)
     compute_features(ref, dists[Fraction(120)])
-    assert ref not in features._REFERENCE_STATE
+    assert ref._memo == {}
 
 
 def test_memo_does_not_keep_the_video_alive(ladder):
@@ -129,7 +145,7 @@ def test_memo_does_not_keep_the_video_alive(ladder):
     ref = LumaVideo(ref_frames, REF_FPS)
     alive = weakref.ref(ref)
     compute_features(ref, dists[Fraction(60)])
-    assert ref in features._REFERENCE_STATE
+    assert ref._memo
     del ref
     gc.collect()
     assert alive() is None
@@ -142,7 +158,8 @@ def test_videos_hash_by_identity(ladder):
     assert a != b and len({a, b}) == 2
     for v in (a, b):
         compute_features(v, dists[Fraction(120)])
-    assert features._REFERENCE_STATE[a] is not features._REFERENCE_STATE[b]
+    fp = GreedConfig().fingerprint()
+    assert a._memo[fp] is not b._memo[fp]
 
 
 def test_loaded_reference_cannot_be_unfrozen_and_stays_memoised(tmp_path, monkeypatch):
@@ -160,6 +177,6 @@ def test_loaded_reference_cannot_be_unfrozen_and_stays_memoised(tmp_path, monkey
     monkeypatch.setattr(features, "downsample",
                         lambda video, s: pooled.append(video) or downsample(video, s))
     assert np.array_equal(compute_features(ref, dist).values, first)
-    assert ref in features._REFERENCE_STATE
+    assert ref._memo
     assert len(pooled) == len(GreedConfig().scales)  # the distorted video only
     assert not any(v is ref for v in pooled)
