@@ -40,8 +40,6 @@ WAVELETS = tuple(_WAVELETS)
 class FilterBank:
     """Equivalent FIR band-pass filters of a wavelet-packet tree, by center frequency."""
 
-    wavelet_name: str
-    levels: int
     filters: list
     center_freqs: np.ndarray
 
@@ -58,7 +56,6 @@ class FilterBank:
 class SubbandStack:
     """Per-frame band-pass coefficient planes for one subband."""
 
-    subband_index: int
     coeffs: np.ndarray  # (T, H, W), same shape as the filtered input
 
 
@@ -74,9 +71,9 @@ def _gray(n):
     return n ^ (n >> 1)
 
 
-def _center_frequency(taps, n_fft=4096):
+def _center_frequency(taps):
     """Energy centroid of the magnitude response over [0, pi]."""
-    h = np.abs(np.fft.rfft(taps, n_fft)) ** 2
+    h = np.abs(np.fft.rfft(taps, 4096)) ** 2
     w = np.linspace(0.0, np.pi, len(h))
     return float(np.sum(w * h) / np.sum(h))
 
@@ -109,10 +106,10 @@ def build_packet_filters(wavelet_name, levels):
         filters.append(taps)
 
     freqs = np.array([_center_frequency(f) for f in filters])
-    return FilterBank(wavelet_name, levels, filters, freqs)
+    return FilterBank(filters, freqs)
 
 
-def temporal_filter(video_or_frames, taps, subband_index=0):
+def temporal_filter(video_or_frames, taps):
     """Band-pass filter along the temporal axis, one output frame per input frame.
 
     Symmetric (half-sample mirror) boundary extension; the filter's group
@@ -129,7 +126,7 @@ def temporal_filter(video_or_frames, taps, subband_index=0):
     # reflect mode is the half-sample mirror; convolve1d centres the taps on
     # length // 2, which is the group-delay compensation.
     out = convolve1d(np.asarray(frames, dtype=np.float64), taps, axis=0, mode="reflect")
-    return SubbandStack(subband_index, out)
+    return SubbandStack(out)
 
 
 def _gaussian_window(half_width):

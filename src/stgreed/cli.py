@@ -61,12 +61,6 @@ def _load_video(path, args, fps_override=None):
                         fps_override or args.fps, args.pixel_format)
 
 
-def _pair_features(args, cfg):
-    ref = _load_video(args.ref, args)
-    dist = _load_video(args.dist, args, fps_override=args.dist_fps)
-    return compute_features(ref, dist, cfg, jobs=args.jobs)
-
-
 def cmd_features(args):
     cfg = _config(args)
     ref = _load_video(args.ref, args)
@@ -95,7 +89,10 @@ def cmd_score(args):
         raise FingerprintMismatch(
             f"model was trained with config {model.fingerprint}, "
             f"current config is {cfg.fingerprint()}")
-    print(repr(svr.predict(model, _pair_features(args, cfg).values)))
+    ref = _load_video(args.ref, args)
+    dist = _load_video(args.dist, args, fps_override=args.dist_fps)
+    feats = compute_features(ref, dist, cfg, jobs=args.jobs)
+    print(repr(svr.predict(model, feats.values)))
     return 0
 
 
@@ -139,8 +136,8 @@ def cmd_histdump(args):
     bank = build_packet_filters(args.wavelet, args.levels)
     if not 1 <= args.band <= bank.num_bands:
         raise ValueError(f"band must be in [1, {bank.num_bands}]")
-    stack = temporal_filter(video, bank.filters[args.band - 1], args.band - 1)
-    centers, density = evaluate.dump_histogram(stack, args.bins)
+    coeffs = temporal_filter(video, bank.filters[args.band - 1]).coeffs
+    centers, density = evaluate.dump_histogram(coeffs, args.bins)
     sys.stdout.write(evaluate.format_histogram(centers, density))
     return 0
 

@@ -46,17 +46,19 @@ class EvalReport:
 
 
 def _midranks(x):
+    # c tied values ending at 1-based sorted position e share mid-rank e - (c - 1) / 2
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+
+
+def _finite_pair(x, y):
     x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    y = np.asarray(y, dtype=np.float64)
+    if len(x) != len(y) or len(x) < 2:
+        raise ValueError("need two equal-length vectors of length >= 2")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("rank correlation needs finite input")
+    return x, y
 
 
 def _pearson(x, y):
@@ -72,18 +74,13 @@ def _pearson(x, y):
 
 def srocc(x, y):
     """Spearman rank correlation with mid-rank tie handling; None if undefined."""
-    x, y = np.asarray(x), np.asarray(y)
-    if len(x) != len(y) or len(x) < 2:
-        raise ValueError("need two equal-length vectors of length >= 2")
+    x, y = _finite_pair(x, y)
     return _pearson(_midranks(x), _midranks(y))
 
 
 def krocc(x, y):
     """Kendall tau-b (tie-corrected); None if undefined."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) != len(y) or len(x) < 2:
-        raise ValueError("need two equal-length vectors of length >= 2")
+    x, y = _finite_pair(x, y)
     dx = np.sign(x[:, None] - x[None, :])
     dy = np.sign(y[:, None] - y[None, :])
     iu = np.triu_indices(len(x), k=1)
@@ -105,7 +102,7 @@ def logistic(params, x):
     return params.b2 + (params.b1 - params.b2) / (1.0 + np.exp(z))
 
 
-def plcc_rmse(pred, dmos, max_iter=10000):
+def plcc_rmse(pred, dmos):
     """Fit the logistic non-linearity, then Pearson correlation and RMSE.
 
     Nelder-Mead on the four parameters; non-convergence is reported via the
@@ -127,7 +124,7 @@ def plcc_rmse(pred, dmos, max_iter=10000):
 
     x0 = np.array([dmos.max(), dmos.min(), pred.mean(), pred.std()])
     res = minimize(sse, x0, method="Nelder-Mead",
-                   options={"maxiter": max_iter, "maxfev": max_iter,
+                   options={"maxiter": 10000, "maxfev": 10000,
                             "xatol": 1e-8, "fatol": 1e-10})
     q = logistic(LogisticParams(*res.x), pred)
     rmse = float(np.sqrt(np.mean((q - dmos) ** 2)))
@@ -147,10 +144,13 @@ def read_manifest(path):
             if any(r[k] is None for k in required):
                 raise ValueError(f"{where}: manifest row has too few fields")
             try:
-                rows.append(DatasetRow(r["content_id"], r["ref"], r["dist"],
-                                       Fraction(r["fps"]), r["tag"], float(r["dmos"])))
+                row = DatasetRow(r["content_id"], r["ref"], r["dist"],
+                                 Fraction(r["fps"]), r["tag"], float(r["dmos"]))
+                if not np.isfinite(row.dmos):
+                    raise ValueError(f"dmos must be finite, got {r['dmos']!r}")
             except (ValueError, ZeroDivisionError) as e:
                 raise ValueError(f"{where}: bad manifest row: {e}") from e
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty manifest")
     return rows
@@ -259,14 +259,13 @@ def hfr_vmaf(vmaf_of_pr_dist, greed_score):
     return 0.5 * ((100.0 - vmaf_of_pr_dist) + greed_score)
 
 
-def dump_histogram(subband_stack, bins):
+def dump_histogram(coeffs, bins):
     """Unit-area histogram of band-pass coefficients over a symmetric range.
 
     Returns (bin_centers, density) suitable for external plotting.
     """
     if bins < 2:
         raise ValueError("need at least 2 bins")
-    coeffs = getattr(subband_stack, "coeffs", subband_stack)
     coeffs = np.asarray(coeffs, dtype=np.float64).ravel()
     if coeffs.size == 0:
         raise ValueError("empty coefficient stack")

@@ -65,6 +65,8 @@ def block_entropies(frames, noise_var, patch_size=GreedConfig.patch_size):
     non-overlapping patch from the noise-lifted patch variance. Each patch
     entropy is premultiplied by its log-variance scaling factor.
     """
+    if patch_size < 1:
+        raise ValueError(f"patch size must be >= 1, got {patch_size}")
     frames = np.asarray(frames, dtype=np.float64)
     if frames.shape[1] < patch_size or frames.shape[2] < patch_size:
         raise ValueError(f"frames smaller than one {patch_size}x{patch_size} patch")
@@ -190,7 +192,7 @@ def compute_features(ref, dist, config=None, jobs=1):
 
         def entropies(frames):
             coeffs = (spatial_ms(frames) if k is None
-                      else temporal_filter(frames, bank.filters[k], k).coeffs)
+                      else temporal_filter(frames, bank.filters[k]).coeffs)
             return block_entropies(coeffs, cfg.noise_var, cfg.patch_size)
 
         def reference_entropies(rate):
@@ -254,10 +256,14 @@ def read_cache(path, fingerprint=None):
                     and {"fingerprint", "ref", "dist", "content", "values"} <= rec.keys()):
                 raise ValueError(f"{path}:{line_no}: cache record must be an object with "
                                  "fingerprint, ref, dist, content and values")
+            if not (isinstance(rec["ref"], str) and isinstance(rec["dist"], str)):
+                raise ValueError(f"{path}:{line_no}: cache record's ref and dist must be strings")
+            values = rec["values"]
+            if not (isinstance(values, list) and values
+                    and all(type(v) in (int, float) for v in values)):
+                raise ValueError(f"{path}:{line_no}: cache record's values must be a "
+                                 "non-empty list of numbers")
             if fingerprint is not None and rec["fingerprint"] != fingerprint:
                 continue
-            out[(rec["ref"], rec["dist"])] = {
-                "content": rec["content"],
-                "values": np.array(rec["values"]),
-            }
+            out[(rec["ref"], rec["dist"])] = {"values": np.array(values)}
     return out

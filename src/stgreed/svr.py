@@ -7,6 +7,7 @@ import numpy as np
 
 MODEL_FORMAT = "stgreed-svr"
 MODEL_VERSION = 1
+_SMO_TOL = 1e-3  # the SMO loop stops once the violating pair's gap is at most this
 
 DEFAULT_GRID = [(C, eps, g)
                 for C in (1.0, 10.0, 100.0, 1000.0)
@@ -19,7 +20,6 @@ class SvrModel:
     support_vectors: np.ndarray  # (n_sv, d), standardized
     dual_coeffs: np.ndarray      # (n_sv,)
     bias: float
-    kernel_gamma: float
     feature_shift: np.ndarray
     feature_scale: np.ndarray
     hyperparams: tuple           # (C, epsilon, kernel_gamma)
@@ -36,9 +36,8 @@ def _rbf(gamma, a, b):
 class SmoResult:
     """One SMO solve: the dual solution and the work it took.
 
-    Unpacks as the solution, (beta, bias). converged is True when the loop
-    stopped on gap <= tol (or an empty up/low set), False when it ran out of
-    max_iter steps.
+    converged is True when the loop stopped on gap <= _SMO_TOL (or an empty
+    up/low set), False when it ran out of max_iter steps.
     """
 
     beta: np.ndarray
@@ -46,11 +45,8 @@ class SmoResult:
     iterations: int
     converged: bool
 
-    def __iter__(self):
-        return iter((self.beta, self.bias))
 
-
-def _solve_smo(K, y, C, epsilon, tol=1e-3, max_iter=200000):
+def _solve_smo(K, y, C, epsilon, max_iter=200000):
     """Two-coordinate dual ascent with most-violating-pair selection.
 
     The variables are the stacked (alpha, alpha*) vector lam, each entry
@@ -71,7 +67,7 @@ def _solve_smo(K, y, C, epsilon, tol=1e-3, max_iter=200000):
     re-masked entries.
 
     Every step is positive, so the loop needs no zero-step exit: the pair
-    has gap > tol >= 0, the curvature is floored at 1e-12, and both box
+    has gap > _SMO_TOL > 0, the curvature is floored at 1e-12, and both box
     bounds are positive because i is in the up set (C - lam_i > 0 or
     lam_i > 0) and j is in the low set.
 
@@ -92,7 +88,7 @@ def _solve_smo(K, y, C, epsilon, tol=1e-3, max_iter=200000):
     for it in range(max_iter + 1):
         i, j = int(v_up.argmax()), int(v_low.argmin())
         gap = v_up.item(i) - v_low.item(j)  # -inf when either set is empty
-        if it == max_iter or gap <= tol:
+        if it == max_iter or gap <= _SMO_TOL:
             break
         pi, pj = i % n, j % n
         a = diag[pi] + diag[pj] - 2.0 * Kr.item(pj, pi)
@@ -117,7 +113,7 @@ def _solve_smo(K, y, C, epsilon, tol=1e-3, max_iter=200000):
 
     bias = np.mean(y) if np.isinf(gap) else 0.5 * (v_up[i] + v_low[j])
     lam = np.array(lam)
-    return SmoResult(lam[:n] - lam[n:], float(bias), it, gap <= tol)
+    return SmoResult(lam[:n] - lam[n:], float(bias), it, gap <= _SMO_TOL)
 
 
 def train_svr(features, labels, hyperparams, fingerprint=""):
@@ -142,12 +138,12 @@ def train_svr(features, labels, hyperparams, fingerprint=""):
 
     empty = np.zeros((0, X.shape[1]))
     if np.ptp(y) == 0.0:
-        return SvrModel(empty, np.zeros(0), float(y[0]), gamma, shift, scale,
+        return SvrModel(empty, np.zeros(0), float(y[0]), shift, scale,
                         (C, epsilon, gamma), fingerprint, (0, True))
 
     fit = _solve_smo(_rbf(gamma, Xn, Xn), y, C, epsilon)
     sv = np.abs(fit.beta) > 1e-12
-    return SvrModel(Xn[sv].copy(), fit.beta[sv].copy(), fit.bias, gamma, shift, scale,
+    return SvrModel(Xn[sv].copy(), fit.beta[sv].copy(), fit.bias, shift, scale,
                     (C, epsilon, gamma), fingerprint, (fit.iterations, fit.converged))
 
 
@@ -162,7 +158,7 @@ def predict(model, x):
     if len(model.dual_coeffs) == 0:
         out = np.full(x.shape[0], model.bias)
     else:
-        K = _rbf(model.kernel_gamma, xn, model.support_vectors)
+        K = _rbf(model.hyperparams[2], xn, model.support_vectors)
         out = K @ model.dual_coeffs + model.bias
     return float(out[0]) if single else out
 
@@ -200,7 +196,7 @@ def save_model(model, path):
         "version": MODEL_VERSION,
         "fingerprint": model.fingerprint,
         "hyperparams": list(model.hyperparams),
-        "kernel_gamma": model.kernel_gamma,
+        "kernel_gamma": model.hyperparams[2],
         "bias": model.bias,
         "feature_shift": list(map(float, model.feature_shift)),
         "feature_scale": list(map(float, model.feature_scale)),
@@ -218,21 +214,29 @@ def load_model(path):
             payload = json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}: line {e.lineno}: not a valid model file: {e.msg}") from e
-    if payload.get("format") != MODEL_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} model file")
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(
             f"{path}: unsupported model version {payload.get('version')!r} "
             f"(expected {MODEL_VERSION})")
-    n_dim = len(payload["feature_shift"])
-    sv = np.array(payload["support_vectors"], dtype=np.float64).reshape(-1, n_dim)
-    return SvrModel(
-        support_vectors=sv,
-        dual_coeffs=np.array(payload["dual_coeffs"], dtype=np.float64),
-        bias=float(payload["bias"]),
-        kernel_gamma=float(payload["kernel_gamma"]),
-        feature_shift=np.array(payload["feature_shift"], dtype=np.float64),
-        feature_scale=np.array(payload["feature_scale"], dtype=np.float64),
-        hyperparams=tuple(payload["hyperparams"]),
-        fingerprint=payload.get("fingerprint", ""),
-    )
+    try:
+        n_dim = len(payload["feature_shift"])
+        sv = np.array(payload["support_vectors"], dtype=np.float64).reshape(-1, n_dim)
+        model = SvrModel(
+            support_vectors=sv,
+            dual_coeffs=np.array(payload["dual_coeffs"], dtype=np.float64),
+            bias=float(payload["bias"]),
+            feature_shift=np.array(payload["feature_shift"], dtype=np.float64),
+            feature_scale=np.array(payload["feature_scale"], dtype=np.float64),
+            hyperparams=tuple(map(float, payload["hyperparams"])),
+            fingerprint=payload.get("fingerprint", ""),
+        )
+        _, _, gamma = model.hyperparams
+        if float(payload["kernel_gamma"]) != gamma:
+            raise ValueError("kernel_gamma differs from hyperparams[2]")
+    except KeyError as e:
+        raise ValueError(f"{path}: model file lacks field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: malformed model file: {e}") from e
+    return model

@@ -9,6 +9,7 @@ import pytest
 
 from stgreed import svr
 from stgreed.cli import _config, build_parser, main
+from stgreed.evaluate import split_contents
 from stgreed.features import GreedConfig, append_cache_record
 
 from conftest import write_y4m
@@ -121,6 +122,25 @@ def test_score_with_constant_model(video_pair, tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == 42.0
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda payload: [1, 2], "not a stgreed-svr model file"),
+    (lambda payload: {k: v for k, v in payload.items() if k != "feature_shift"},
+     "model file lacks field 'feature_shift'"),
+    (lambda payload: {**payload, "kernel_gamma": payload["kernel_gamma"] * 2},
+     "kernel_gamma differs from hyperparams[2]"),
+], ids=["not-an-object", "missing-field", "kernel-gamma-mismatch"])
+def test_score_malformed_model_exits_2(video_pair, tmp_path, capsys, edit, error):
+    ref, dist = video_pair
+    model_path = tmp_path / "m.json"
+    _write_model(model_path, GreedConfig(wavelet="haar", scales=(1,)).fingerprint())
+    model_path.write_text(json.dumps(edit(json.loads(model_path.read_text()))))
+    rc = main(["score", ref, dist, "--model", str(model_path),
+               "--wavelet", "haar", "--scales", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{model_path}: " in err and error in err
+
+
 def test_score_fingerprint_mismatch_exits_3(video_pair, tmp_path, capsys):
     ref, dist = video_pair
     model_path = str(tmp_path / "m.json")
@@ -196,14 +216,26 @@ def test_eval_empty_manifest_exits_2(tmp_path, capsys):
     assert "empty manifest" in capsys.readouterr().err
 
 
+def _cache_line(ref="r0.y4m", dist="d0_0.y4m", values=(0.5,) * 16):
+    return json.dumps({"fingerprint": GreedConfig().fingerprint(), "ref": ref,
+                       "dist": dist, "content": "c00", "values": values})
+
+
 @pytest.mark.parametrize("cmd", ["train", "eval"])
 @pytest.mark.parametrize("bad_file, line, error", [
     ("cache", '{"ref": "a"}', "cache.jsonl:1: cache record must be an object"),
     ("cache", "[1,2]", "cache.jsonl:1: cache record must be an object"),
+    ("cache", _cache_line(ref=["r0.y4m"]), "cache.jsonl:1: cache record's ref and dist"),
+    ("cache", _cache_line(dist=7), "cache.jsonl:1: cache record's ref and dist"),
+    ("cache", _cache_line(values=[[0.5, 1.0], 2.0]), "cache.jsonl:1: cache record's values"),
+    ("cache", _cache_line(values=["0.5"] * 16), "cache.jsonl:1: cache record's values"),
+    ("cache", _cache_line(values=3.0), "cache.jsonl:1: cache record's values"),
     ("manifest", "c,a,b", "manifest.csv:2: manifest row has too few fields"),
     ("manifest", "c,a,b,1/0,v,3", "manifest.csv:2: bad manifest row"),
-], ids=["cache-missing-fields", "cache-not-an-object", "manifest-short-row",
-        "manifest-zero-fps"])
+    ("manifest", "c,a,b,30,v,nan", "manifest.csv:2: bad manifest row: dmos must be finite"),
+], ids=["cache-missing-fields", "cache-not-an-object", "cache-list-ref", "cache-int-dist",
+        "cache-nested-values", "cache-string-values", "cache-scalar-values",
+        "manifest-short-row", "manifest-zero-fps", "manifest-nan-dmos"])
 def test_malformed_dataset_file_exits_2(tmp_path, rng, capsys, cmd, bad_file, line, error):
     manifest, cache = _write_dataset(tmp_path, rng, n_contents=3, per_content=2)
     path = Path(manifest if bad_file == "manifest" else cache)
@@ -215,6 +247,33 @@ def test_malformed_dataset_file_exits_2(tmp_path, rng, capsys, cmd, bad_file, li
     extra = ["--out", str(tmp_path / "m.json")] if cmd == "train" else []
     assert main([cmd, "--manifest", manifest, "--cache", cache, *extra]) == 2
     assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+@pytest.mark.parametrize("dmos", ["nan", "inf"])
+def test_eval_non_finite_dmos_exits_2(tmp_path, rng, capsys, split, dmos):
+    manifest, cache = _write_dataset(tmp_path, rng, n_contents=8, per_content=6)
+    lines = Path(manifest).read_text().splitlines()
+    contents = sorted({line.split(",")[0] for line in lines[1:]})
+    train, _, test = split_contents(contents, np.random.default_rng([7, 0]))
+    # the first version of the first content in the chosen split
+    row = 1 + 6 * contents.index(sorted(train if split == "train" else test)[0])
+    fields = lines[row].split(",")
+    lines[row] = ",".join(fields[:-1] + [dmos])
+    Path(manifest).write_text("\n".join(lines) + "\n")
+    rc = main(["eval", "--manifest", manifest, "--cache", cache,
+               "--trials", "1", "--seed", "7"])
+    assert rc == 2
+    assert f"manifest.csv:{row + 1}: bad manifest row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch", ["0", "-1"])
+def test_features_non_positive_patch_exits_2(video_pair, capsys, patch):
+    ref, dist = video_pair
+    rc = main(["features", ref, dist, "--scales", "1", "--wavelet", "haar",
+               "--patch", patch])
+    assert rc == 2
+    assert f"patch size must be >= 1, got {patch}" in capsys.readouterr().err
 
 
 def test_train_missing_cache_pairs_listed(tmp_path, rng, capsys):

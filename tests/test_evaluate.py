@@ -74,6 +74,16 @@ def test_rank_correlations_degenerate_input():
         srocc([1.0], [2.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("corr", [srocc, krocc])
+def test_rank_correlations_reject_non_finite_input(corr, bad):
+    x = [1.0, 2.0, bad, 4.0]
+    with pytest.raises(ValueError, match="finite"):
+        corr(x, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="finite"):
+        corr([1.0, 2.0, 3.0, 4.0], x)
+
+
 def test_logistic_limits_and_midpoint():
     p = LogisticParams(90.0, 10.0, 50.0, 12.0)
     assert logistic(p, np.array([50.0]))[0] == pytest.approx(50.0)

@@ -99,9 +99,9 @@ def _oracle_features(ref, dist, cfg):
         out.append(np.mean([np.mean(np.abs(theta_d.values[t] - avg.values[t]))
                             for t in range(n)]))
 
-        for k, taps in enumerate(bank.filters):
+        for taps in bank.filters:
             eps_r, eps_p, eps_d = (
-                _block_entropies_per_frame(temporal_filter(v, taps, k).coeffs,
+                _block_entropies_per_frame(temporal_filter(v, taps).coeffs,
                                            cfg.noise_var, cfg.patch_size)
                 for v in (r, p, d))
             n = min(eps_p.values.shape[0], eps_d.values.shape[0],

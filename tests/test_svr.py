@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,45 @@ def test_load_model_rejects_bad_files(tmp_path):
     p.write_text('{"format": "stgreed-svr", "version": 99}')
     with pytest.raises(ValueError, match="version"):
         load_model(p)
+    p.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="m.json: not a stgreed-svr model file"):
+        load_model(p)
+
+
+def _saved_payload(tmp_path, rng):
+    X, y = _toy_problem(rng, n=20)
+    path = tmp_path / "model.json"
+    save_model(train_svr(X, y, (10.0, 0.1, 0.5)), path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("drop", ["feature_shift", "kernel_gamma", "hyperparams",
+                                  "support_vectors", "bias"])
+def test_load_model_rejects_missing_field(tmp_path, rng, drop):
+    path, payload = _saved_payload(tmp_path, rng)
+    del payload[drop]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"model.json: model file lacks field '{drop}'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"kernel_gamma": 0.25}, "kernel_gamma differs from hyperparams"),
+    ({"hyperparams": [10.0, 0.1]}, "not enough values"),
+    ({"bias": "x"}, "could not convert"),
+    ({"feature_shift": 5}, "has no len"),
+])
+def test_load_model_rejects_malformed_fields(tmp_path, rng, change, error):
+    path, payload = _saved_payload(tmp_path, rng)
+    path.write_text(json.dumps({**payload, **change}))
+    with pytest.raises(ValueError, match=f"model.json: malformed model file: .*{error}"):
+        load_model(path)
+
+
+def test_saved_kernel_gamma_is_hyperparams_gamma(tmp_path, rng):
+    path, payload = _saved_payload(tmp_path, rng)
+    assert payload["kernel_gamma"] == payload["hyperparams"][2] == 0.5
+    assert load_model(path).hyperparams == (10.0, 0.1, 0.5)
 
 
 def test_solve_smo_reports_iterations_and_convergence(rng):
@@ -204,7 +245,8 @@ def test_solve_smo_matches_reference(n, d, n_dup, C, eps, gamma, max_iter, seed)
     y[dup[:, 0]] = y[dup[:, 1]]
     K = _rbf(gamma, X, X)
     kw = {} if max_iter is None else {"max_iter": max_iter}
-    beta, bias = _solve_smo(K, y, C, eps, **kw)
+    fit = _solve_smo(K, y, C, eps, **kw)
+    beta, bias = fit.beta, fit.bias
     beta_ref, bias_ref = _reference_smo(K, y, C, eps, **kw)
     assert bias == bias_ref
     np.testing.assert_allclose(beta, beta_ref, rtol=0, atol=1e-12 * C)
