@@ -38,10 +38,9 @@ WAVELETS = tuple(_WAVELETS)
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Equivalent FIR band-pass filters of a wavelet-packet tree, by center frequency."""
+    """Equivalent FIR band-pass filters of a wavelet-packet tree, in frequency order."""
 
     filters: list
-    center_freqs: np.ndarray
 
     @property
     def num_bands(self):
@@ -60,8 +59,6 @@ class SubbandStack:
 
 
 def _upsample(taps, factor):
-    if factor == 1:
-        return taps
     out = np.zeros((len(taps) - 1) * factor + 1)
     out[::factor] = taps
     return out
@@ -71,11 +68,26 @@ def _gray(n):
     return n ^ (n >> 1)
 
 
-def _center_frequency(taps):
-    """Energy centroid of the magnitude response over [0, pi]."""
-    h = np.abs(np.fft.rfft(taps, 4096)) ** 2
-    w = np.linspace(0.0, np.pi, len(h))
-    return float(np.sum(w * h) / np.sum(h))
+def _analysis_pair(wavelet_name, levels):
+    if wavelet_name not in _WAVELETS:
+        raise ValueError(f"unknown wavelet {wavelet_name!r}; choose from {sorted(_WAVELETS)}")
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
+    return _WAVELETS[wavelet_name]
+
+
+def check_bank_fits(wavelet_name, levels, n_frames):
+    """Reject a clip too short for build_packet_filters(wavelet_name, levels).
+
+    Every band has (len(lo) - 1) * (2^levels - 1) + 1 taps, and
+    temporal_filter takes at most 4 taps per frame. This needs no bank,
+    whose cost grows about 4x per level, so callers run it first.
+    """
+    lo, _ = _analysis_pair(wavelet_name, levels)
+    length = (len(lo) - 1) * (2 ** levels - 1) + 1
+    if 4 * n_frames < length:
+        raise ValueError(f"video too short for the temporal filter bank: {length} taps "
+                         f"need at least {-(-length // 4)} frames, got {n_frames}")
 
 
 def build_packet_filters(wavelet_name, levels):
@@ -86,11 +98,7 @@ def build_packet_filters(wavelet_name, levels):
     order to frequency order via the Gray-code permutation, and the
     all-low-pass leaf is dropped.
     """
-    if wavelet_name not in _WAVELETS:
-        raise ValueError(f"unknown wavelet {wavelet_name!r}; choose from {sorted(_WAVELETS)}")
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    lo, hi = _WAVELETS[wavelet_name]
+    lo, hi = _analysis_pair(wavelet_name, levels)
 
     n_leaves = 2 ** levels
     filters = []
@@ -104,18 +112,15 @@ def build_packet_filters(wavelet_name, levels):
             stage_taps = _upsample(hi if bit else lo, 2 ** stage)
             taps = np.convolve(taps, stage_taps)
         filters.append(taps)
-
-    freqs = np.array([_center_frequency(f) for f in filters])
-    return FilterBank(filters, freqs)
+    return FilterBank(filters)
 
 
-def temporal_filter(video_or_frames, taps):
+def temporal_filter(frames, taps):
     """Band-pass filter along the temporal axis, one output frame per input frame.
 
     Symmetric (half-sample mirror) boundary extension; the filter's group
     delay is compensated so output frame t is centered on input frame t.
     """
-    frames = getattr(video_or_frames, "frames", video_or_frames)
     taps = np.asarray(taps, dtype=np.float64)
     n = frames.shape[0]
     if n < 2:

@@ -6,7 +6,7 @@ import os
 import sys
 
 from . import evaluate, svr
-from .bandpass import WAVELETS, build_packet_filters, temporal_filter
+from .bandpass import WAVELETS, build_packet_filters, check_bank_fits, temporal_filter
 from .features import (GreedConfig, append_cache_record, compute_features,
                        read_cache)
 from .video import VideoFormatError, downsample, load_raw_yuv, load_y4m
@@ -132,11 +132,12 @@ def cmd_eval(args):
 
 def cmd_histdump(args):
     video = _load_video(args.input, args)
+    check_bank_fits(args.wavelet, args.levels, video.num_frames)
     video = downsample(video, args.scale)
     bank = build_packet_filters(args.wavelet, args.levels)
     if not 1 <= args.band <= bank.num_bands:
         raise ValueError(f"band must be in [1, {bank.num_bands}]")
-    coeffs = temporal_filter(video, bank.filters[args.band - 1]).coeffs
+    coeffs = temporal_filter(video.frames, bank.filters[args.band - 1]).coeffs
     centers, density = evaluate.dump_histogram(coeffs, args.bins)
     sys.stdout.write(evaluate.format_histogram(centers, density))
     return 0

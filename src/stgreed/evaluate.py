@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .svr import grid_search, predict, train_svr
 
@@ -108,6 +107,9 @@ def plcc_rmse(pred, dmos):
     Nelder-Mead on the four parameters; non-convergence is reported via the
     flag with the best parameters found.
     """
+    # Imported here so that `import stgreed` leaves scipy.optimize unloaded.
+    from scipy.optimize import minimize
+
     pred = np.asarray(pred, dtype=np.float64)
     dmos = np.asarray(dmos, dtype=np.float64)
     if len(pred) != len(dmos) or len(pred) < 5:
@@ -214,6 +216,8 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
     the SMO iterations of its final fit and whether that solve converged,
     and whether its logistic fit converged.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     contents = sorted({r.content_id for r in rows})
     if len(contents) < 3:
         raise ValueError(f"need at least 3 contents, got {len(contents)}")

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ggd
-from .bandpass import build_packet_filters, spatial_ms, temporal_filter
+from .bandpass import build_packet_filters, check_bank_fits, spatial_ms, temporal_filter
 from .video import downsample, kept_indices
 
 # Part of every config fingerprint. Bump it in any change that moves feature
@@ -37,7 +37,6 @@ class EntropyField:
     """Per-frame, per-patch scaled entropies for one subband of one video."""
 
     values: np.ndarray       # (T, P)
-    patch_grid: tuple        # (rows, cols)
     frame_betas: np.ndarray  # (T,)
 
 
@@ -54,7 +53,7 @@ def _patch_variances(frames, patch):
     blocks = frames[:, :rows * patch, :cols * patch].reshape(-1, rows, patch, cols, patch)
     mean = blocks.mean(axis=(2, 4))
     sq = (blocks * blocks).mean(axis=(2, 4))
-    return (sq - mean * mean).reshape(frames.shape[0], rows * cols), (rows, cols)
+    return (sq - mean * mean).reshape(frames.shape[0], rows * cols)
 
 
 def block_entropies(frames, noise_var, patch_size=GreedConfig.patch_size):
@@ -86,13 +85,13 @@ def block_entropies(frames, noise_var, patch_size=GreedConfig.patch_size):
     scale = np.array([ggd.alpha_from_sigma_beta(1.0, b) for b in betas])
     h_unit = np.array([ggd.ggd_entropy(1.0, b) for b in betas])
 
-    var_p, grid = _patch_variances(frames, patch_size)
+    var_p = _patch_variances(frames, patch_size)
     sigma = np.sqrt(var_p + noise_var)
     alpha = sigma * scale[:, None]
     # h(alpha, beta) = h(1, beta) + log(alpha)
     h = h_unit[:, None] + np.log(alpha)
     gamma = np.log1p(var_p + noise_var)
-    return EntropyField(gamma * h, grid, betas)
+    return EntropyField(gamma * h, betas)
 
 
 def average_reference_entropies(ref_field, rate_ratio, n_out=None):
@@ -115,12 +114,7 @@ def average_reference_entropies(ref_field, rate_ratio, n_out=None):
     starts, counts = edges[:-1], np.diff(edges)
     values = np.add.reduceat(ref_field.values[:edges[-1]], starts) / counts[:, None]
     betas = np.add.reduceat(ref_field.frame_betas[:edges[-1]], starts) / counts
-    return EntropyField(values, ref_field.patch_grid, betas)
-
-
-def _row_means(x):
-    out = np.mean(x, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return EntropyField(values, betas)
 
 
 def tgreed_frame(eps_ref_avg, eps_pr, eps_dist):
@@ -135,7 +129,7 @@ def tgreed_frame(eps_ref_avg, eps_pr, eps_dist):
     if not (eps_ref_avg.shape == eps_pr.shape == eps_dist.shape):
         raise ValueError("entropy vectors must have equal length")
     term = (1.0 + np.abs(eps_dist - eps_pr)) * (eps_ref_avg + 1.0) / (eps_pr + 1.0) - 1.0
-    return _row_means(np.abs(term))
+    return np.mean(np.abs(term), axis=-1)
 
 
 def sgreed_frame(theta_ref, theta_dist):
@@ -144,7 +138,7 @@ def sgreed_frame(theta_ref, theta_dist):
     theta_dist = np.asarray(theta_dist, dtype=np.float64)
     if theta_ref.shape != theta_dist.shape:
         raise ValueError("entropy vectors must have equal length")
-    return _row_means(np.abs(theta_dist - theta_ref))
+    return np.mean(np.abs(theta_dist - theta_ref), axis=-1)
 
 
 def compute_features(ref, dist, config=None, jobs=1):
@@ -159,15 +153,16 @@ def compute_features(ref, dist, config=None, jobs=1):
     reference reuse them; its frames must not change after it was built.
     """
     cfg = config or GreedConfig()
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if (ref.height, ref.width) != (dist.height, dist.width):
         raise ValueError(
             f"resolution mismatch: reference {ref.width}x{ref.height}, "
             f"distorted {dist.width}x{dist.height}")
     kept = kept_indices(ref.num_frames, ref.fps, dist.fps)
 
+    check_bank_fits(cfg.wavelet, cfg.levels, min(len(kept), dist.num_frames))
     bank = build_packet_filters(cfg.wavelet, cfg.levels)
-    if min(len(kept), dist.num_frames) * 4 < bank.max_length:
-        raise ValueError("video too short for the temporal filter bank")
 
     ratio = ref.fps / dist.fps
     n = min(dist.num_frames, int(ref.num_frames / ratio))  # frames compared

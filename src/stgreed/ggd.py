@@ -59,8 +59,10 @@ def noisy_moments(var_obs, kurt_obs, noise_var):
 
     variance = var + noise_var; kurtosis = kurt * (var / variance)^2.
     """
-    if var_obs < 0 or noise_var <= 0:
-        raise ValueError("variance must be >= 0 and noise variance > 0")
+    if not 0 < noise_var < math.inf:
+        raise ValueError(f"noise variance must be finite and > 0, got {noise_var}")
+    if var_obs < 0:
+        raise ValueError(f"variance must be >= 0, got {var_obs}")
     variance = var_obs + noise_var
     kurtosis = kurt_obs * (var_obs / variance) ** 2
     return NoisyMoments(variance, kurtosis)

@@ -155,11 +155,9 @@ def predict(model, x):
     if not np.isfinite(x).all():
         raise ValueError("non-finite feature input")
     xn = (x - model.feature_shift) / model.feature_scale
-    if len(model.dual_coeffs) == 0:
-        out = np.full(x.shape[0], model.bias)
-    else:
-        K = _rbf(model.hyperparams[2], xn, model.support_vectors)
-        out = K @ model.dual_coeffs + model.bias
+    # With no support vectors K is (m, 0) and K @ dual_coeffs is zeros.
+    K = _rbf(model.hyperparams[2], xn, model.support_vectors)
+    out = K @ model.dual_coeffs + model.bias
     return float(out[0]) if single else out
 
 
@@ -176,18 +174,12 @@ def grid_search(train_xy, val_xy, grid=None):
     X_tr, y_tr = train_xy
     X_val, y_val = val_xy
 
-    best = None
-    best_key = None
-    for C, eps, gamma in grid:
-        model = train_svr(X_tr, y_tr, (C, eps, gamma))
-        score = srocc(predict(model, X_val), y_val)
-        if score is None:
-            score = -np.inf
-        key = (score, -C, eps)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (C, eps, gamma)
-    return best
+    def key(hp):
+        C, eps, _ = hp
+        score = srocc(predict(train_svr(X_tr, y_tr, hp), X_val), y_val)
+        return (-np.inf if score is None else score, -C, eps)
+
+    return tuple(max(grid, key=key))  # the first entry of a full tie
 
 
 def save_model(model, path):

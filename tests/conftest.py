@@ -1,5 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+_TESTS = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(items):
+    """Fail a test in tests/ that leaks a file, as CI's -W flags do.
+
+    The marks stay off items collected elsewhere (perfbench/) when both
+    directories run in one session.
+    """
+    for item in items:
+        if item.path.is_relative_to(_TESTS):
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings(
+                "error::pytest.PytestUnraisableExceptionWarning"))
 
 
 def sample_ggd(rng, alpha, beta, size):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from stgreed.bandpass import (build_packet_filters, spatial_ms,
+from stgreed.bandpass import (build_packet_filters, check_bank_fits, spatial_ms,
                               temporal_filter, _gaussian_window)
-from stgreed.video import LumaVideo
 
 
 def test_haar_level1_is_frame_difference():
@@ -31,7 +30,23 @@ def test_db2_level3_lengths_and_dc():
 def test_zero_dc_and_frequency_order(wavelet):
     bank = build_packet_filters(wavelet, 3)
     assert all(abs(f.sum()) < 1e-10 for f in bank.filters)
-    assert np.all(np.diff(bank.center_freqs) > 0)
+    # energy centroid of each magnitude response over [0, pi]
+    power = np.abs(np.fft.rfft(bank.filters, 4096)) ** 2
+    centroids = power @ np.linspace(0.0, np.pi, power.shape[1]) / power.sum(axis=1)
+    assert np.all(np.diff(centroids) > 0)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 5])
+@pytest.mark.parametrize("wavelet", ["haar", "db2", "bior2.2"])
+def test_check_bank_fits_knows_every_band_length(wavelet, levels):
+    bank = build_packet_filters(wavelet, levels)
+    length = bank.max_length
+    assert all(len(f) == length for f in bank.filters)
+    fewest = -(-length // 4)  # temporal_filter takes up to 4 taps per frame
+    check_bank_fits(wavelet, levels, fewest)
+    temporal_filter(np.zeros((max(fewest, 2), 1, 1)), bank.filters[-1])
+    with pytest.raises(ValueError, match=f"{length} taps need at least {fewest} frames"):
+        check_bank_fits(wavelet, levels, fewest - 1)
 
 
 def test_equivalent_filters_match_fourier_cascade():
@@ -60,9 +75,8 @@ def test_unknown_wavelet():
 
 
 def test_temporal_filter_constant_video():
-    v = LumaVideo(np.full((16, 4, 4), 42.0), 30)
     bank = build_packet_filters("bior2.2", 3)
-    out = temporal_filter(v, bank.filters[3]).coeffs
+    out = temporal_filter(np.full((16, 4, 4), 42.0), bank.filters[3]).coeffs
     np.testing.assert_allclose(out, 0.0, atol=1e-10)
 
 
@@ -70,7 +84,7 @@ def test_temporal_filter_impulse_response():
     taps = build_packet_filters("haar", 3).filters[2]
     x = np.zeros((32, 1, 1))
     x[5, 0, 0] = 1.0
-    out = temporal_filter(LumaVideo(x, 30), taps).coeffs[:, 0, 0]
+    out = temporal_filter(x, taps).coeffs[:, 0, 0]
     delay = len(taps) // 2
     # plain convolution: out[t] = taps[t + delay - 5] inside the tap support
     for t in range(32):
@@ -102,22 +116,21 @@ def _temporal_oracle(frames, taps):
 def test_temporal_filter_matches_naive_convolution(rng):
     frames = rng.uniform(0, 255, size=(32, 8, 8))
     taps = build_packet_filters("haar", 3).filters[3]
-    got = temporal_filter(LumaVideo(frames, 30), taps).coeffs
+    got = temporal_filter(frames, taps).coeffs
     np.testing.assert_allclose(got, _temporal_oracle(frames, taps), atol=1e-9)
 
 
 def test_haar_level1_alignment(rng):
     frames = rng.uniform(0, 255, size=(16, 4, 4))
     taps = build_packet_filters("haar", 1).filters[0]
-    out = temporal_filter(LumaVideo(frames, 30), taps).coeffs
+    out = temporal_filter(frames, taps).coeffs
     expect = (frames[1:] - frames[:-1]) / np.sqrt(2)
     np.testing.assert_allclose(out[:-1], expect, atol=1e-12)
 
 
 def test_filter_too_long_for_video():
-    v = LumaVideo(np.zeros((4, 2, 2)), 30)
     with pytest.raises(ValueError, match="too long"):
-        temporal_filter(v, np.zeros(17))
+        temporal_filter(np.zeros((4, 2, 2)), np.zeros(17))
 
 
 def test_haar_packet_is_tight_frame():
@@ -145,8 +158,7 @@ def test_subband_energy_tracks_probe_frequency(wavelet):
     for k in range(7):
         f0 = (2 * (k + 1) + 1) * np.pi / 16
         x = np.sin(f0 * t)[:, None, None] * np.ones((1, 2, 2))
-        v = LumaVideo(x, 30)
-        energies = [np.sum(temporal_filter(v, f).coeffs[64:192] ** 2)
+        energies = [np.sum(temporal_filter(x, f).coeffs[64:192] ** 2)
                     for f in bank.filters]
         assert int(np.argmax(energies)) == k  # probe sits at band k+1's center
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stgreed import svr
+from stgreed import cli, svr
 from stgreed.cli import _config, build_parser, main
 from stgreed.evaluate import split_contents
 from stgreed.features import GreedConfig, append_cache_record
@@ -276,6 +276,29 @@ def test_features_non_positive_patch_exits_2(video_pair, capsys, patch):
     assert f"patch size must be >= 1, got {patch}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, error", [
+    ("--noise-var", "inf", "noise variance must be finite and > 0, got inf"),
+    ("--noise-var", "nan", "noise variance must be finite and > 0, got nan"),
+    ("--jobs", "0", "jobs must be >= 1, got 0"),
+    ("--jobs", "-3", "jobs must be >= 1, got -3"),
+])
+def test_features_out_of_range_number_exits_2(video_pair, capsys, flag, value, error):
+    ref, dist = video_pair
+    rc = main(["features", ref, dist, "--scales", "1", "--wavelet", "haar", flag, value])
+    assert rc == 2
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_eval_non_positive_trials_exits_2(tmp_path, rng, capsys, trials):
+    manifest, cache = _write_dataset(tmp_path, rng, n_contents=3, per_content=2)
+    rc = main(["eval", "--manifest", manifest, "--cache", cache, "--trials", trials])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"trials must be >= 1, got {trials}" in captured.err
+    assert captured.out == ""
+
+
 def test_train_missing_cache_pairs_listed(tmp_path, rng, capsys):
     manifest, cache = _write_dataset(tmp_path, rng, n_contents=3, per_content=2)
     # drop the first cached record
@@ -302,6 +325,21 @@ def test_histdump(tmp_path, rng, capsys):
     density = np.array([float(l.split("\t")[1]) for l in lines])
     assert np.all(np.diff(centers) > 0)
     assert np.sum(density) * (centers[1] - centers[0]) == pytest.approx(1.0)
+
+
+def test_histdump_rejects_short_clip_before_building_the_bank(tmp_path, rng, capsys,
+                                                             monkeypatch):
+    # bior2.2 at 9 levels has 2556 taps, so 16 frames are far too few
+    path = tmp_path / "v.y4m"
+    write_y4m(path, rng.uniform(0, 255, size=(16, 8, 8)), fps_num=30)
+
+    def must_not_build(*args):
+        raise AssertionError("filter bank built for a clip it cannot fit")
+
+    monkeypatch.setattr(cli, "build_packet_filters", must_not_build)
+    assert main(["histdump", str(path), "--scale", "1", "--levels", "9"]) == 2
+    assert ("video too short for the temporal filter bank: 2556 taps need at least "
+            "639 frames, got 16") in capsys.readouterr().err
 
 
 def test_histdump_band_out_of_range(tmp_path, rng, capsys):

@@ -17,7 +17,7 @@ from conftest import write_y4m
 
 def test_block_entropies_all_zero_frame():
     field = block_entropies(np.zeros((2, 10, 10)), 0.1)
-    assert field.patch_grid == (2, 2)
+    assert field.values.shape == (2, 4)  # a 2x2 grid of 5x5 patches per frame
     assert np.all(field.frame_betas == ggd.BETA_MAX)
     alpha = ggd.alpha_from_sigma_beta(math.sqrt(0.1), ggd.BETA_MAX)
     expect = math.log1p(0.1) * ggd.ggd_entropy(alpha, ggd.BETA_MAX)
@@ -67,7 +67,7 @@ def test_block_entropies_rejects_small_frames():
 
 def _field(values):
     values = np.asarray(values, dtype=np.float64)
-    return EntropyField(values, (1, values.shape[1]), np.full(values.shape[0], 2.0))
+    return EntropyField(values, np.full(values.shape[0], 2.0))
 
 
 def test_average_reference_identity():
@@ -154,6 +154,17 @@ def test_bior22_bank_needs_nine_frames(rng):
     short = LumaVideo(frames[:8], 60)
     with pytest.raises(ValueError, match="video too short for the temporal filter bank"):
         compute_features(short, short, cfg)
+
+
+def test_short_clip_rejected_before_the_bank_is_built(rng, monkeypatch):
+    # bior2.2 at 9 levels has 2556 taps; building them for 8 frames is waste
+    def must_not_build(*args):
+        raise AssertionError("filter bank built for a clip it cannot fit")
+
+    monkeypatch.setattr(features, "build_packet_filters", must_not_build)
+    v = LumaVideo(rng.uniform(0, 255, size=(8, 24, 24)), 60)
+    with pytest.raises(ValueError, match="2556 taps need at least 639 frames, got 8"):
+        compute_features(v, v, GreedConfig(scales=(1,), levels=9))
 
 
 def test_filter_bank_guard_counts_the_frame_dropped_reference(rng, monkeypatch):

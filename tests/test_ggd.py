@@ -84,6 +84,12 @@ def test_noisy_moments_rejects_negative():
         noisy_moments(1.0, 3.0, 0.0)
 
 
+@pytest.mark.parametrize("noise_var", [math.inf, math.nan])
+def test_noisy_moments_rejects_non_finite_noise_var(noise_var):
+    with pytest.raises(ValueError, match=f"noise variance must be finite and > 0, got {noise_var}"):
+        noisy_moments(1.0, 3.0, noise_var)
+
+
 def test_alpha_from_sigma_beta():
     assert abs(alpha_from_sigma_beta(1.0, 2.0) - math.sqrt(2.0)) < 1e-12
     assert alpha_from_sigma_beta(0.0, 3.0) == 0.0

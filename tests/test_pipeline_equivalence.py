@@ -61,7 +61,7 @@ def _block_entropies_per_frame(frames, noise_var, patch):
             ggd.gamma_fn(1.0 / beta) / ggd.gamma_fn(3.0 / beta))
         h = ggd.ggd_entropy(1.0, beta) + np.log(alpha)
         values.append(np.log1p(var_p + noise_var) * h)
-    return EntropyField(np.array(values), (rows, cols), np.array(betas))
+    return EntropyField(np.array(values), np.array(betas))
 
 
 def _average_per_cell(field, ratio, n_out=None):
@@ -76,7 +76,7 @@ def _average_per_cell(field, ratio, n_out=None):
         assert hi > lo
         values[i] = field.values[lo:hi].mean(axis=0)
         betas[i] = field.frame_betas[lo:hi].mean()
-    return EntropyField(values, field.patch_grid, betas)
+    return EntropyField(values, betas)
 
 
 def _oracle_features(ref, dist, cfg):
@@ -165,7 +165,7 @@ def test_average_reference_entropies_matches_per_cell_loop(n_ref, ratio, data):
     n_out = data.draw(st.one_of(st.none(), st.integers(0, n_cells)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     # Positive entropies, so the relative tolerance meets no cancellation.
-    field = EntropyField(rng.uniform(0.0, 10.0, size=(n_ref, 3)), (1, 3),
+    field = EntropyField(rng.uniform(0.0, 10.0, size=(n_ref, 3)),
                          rng.uniform(0.5, 2.0, size=n_ref))
 
     got = average_reference_entropies(field, ratio, n_out)

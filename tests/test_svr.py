@@ -94,6 +94,16 @@ def test_grid_search_recovers_useful_setting(rng):
     assert grid_search((X, y), (X_val, y_val), grid=grid) == (100.0, 0.1, 0.5)
 
 
+def test_grid_search_breaks_ties_toward_smaller_c_then_larger_eps(rng):
+    # Constant labels: every model predicts a constant, every SROCC is None
+    # and every entry ties on score.
+    X = rng.normal(size=(12, 3))
+    y = np.full(12, 5.0)
+    grid = [(10.0, 2.0, 1.0), (1.0, 0.1, 1.0), (1.0, 2.0, 0.5), (10.0, 0.1, 2.0),
+            (1.0, 2.0, 4.0), (1.0, 1.0, 1.0)]
+    assert grid_search((X, y), (X[:6], y[:6]), grid=grid) == (1.0, 2.0, 0.5)
+
+
 def test_grid_search_deterministic(rng):
     X, y = _toy_problem(rng, n=40)
     X_val, y_val = _toy_problem(rng, n=20)
