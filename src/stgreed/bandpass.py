@@ -46,10 +46,6 @@ class FilterBank:
     def num_bands(self):
         return len(self.filters)
 
-    @property
-    def max_length(self):
-        return max(len(f) for f in self.filters)
-
 
 @dataclass(frozen=True)
 class SubbandStack:

@@ -65,8 +65,10 @@ def cmd_features(args):
     cfg = _config(args)
     ref = _load_video(args.ref, args)
     for i, path in enumerate(args.dist):
-        dist = _load_video(path, args, fps_override=args.dist_fps)
-        feats = compute_features(ref, dist, cfg, jobs=args.jobs)
+        # Bind no name to the distorted video, so it is freed before the next
+        # one is decoded.
+        feats = compute_features(ref, _load_video(path, args, fps_override=args.dist_fps),
+                                 cfg, jobs=args.jobs)
         if args.format == "csv":
             print(",".join(repr(float(v)) for v in feats.values))
         else:

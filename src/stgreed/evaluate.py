@@ -136,7 +136,8 @@ def plcc_rmse(pred, dmos):
 def read_manifest(path):
     """Read a dataset manifest CSV (content_id, ref, dist, fps, tag, dmos)."""
     rows = []
-    with open(path, newline="") as f:
+    # utf-8-sig also reads the byte-order mark that spreadsheet programs write.
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
         required = {"content_id", "ref", "dist", "fps", "tag", "dmos"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):

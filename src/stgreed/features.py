@@ -10,7 +10,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import ggd
-from .bandpass import build_packet_filters, check_bank_fits, spatial_ms, temporal_filter
+from .bandpass import (_analysis_pair, build_packet_filters, check_bank_fits, spatial_ms,
+                       temporal_filter)
 from .video import downsample, kept_indices
 
 # Part of every config fingerprint. Bump it in any change that moves feature
@@ -26,6 +27,19 @@ class GreedConfig:
     noise_var: float = 0.1
     patch_size: int = 5
     levels: int = 3
+
+    def __post_init__(self):
+        # The same checks as the functions that use each field, made before
+        # any video is decoded.
+        if not 0 < self.noise_var < np.inf:
+            raise ValueError(f"noise variance must be finite and > 0, got {self.noise_var}")
+        if self.patch_size < 1:
+            raise ValueError(f"patch size must be >= 1, got {self.patch_size}")
+        _analysis_pair(self.wavelet, self.levels)
+        if not self.scales:
+            raise ValueError("scales must not be empty")
+        if min(self.scales) < 0:
+            raise ValueError("scale exponent must be >= 0")
 
     def fingerprint(self):
         key = f"{FEATURE_VERSION}|{self.wavelet}|{','.join(map(str, self.scales))}|{self.noise_var!r}|{self.patch_size}|{self.levels}"

@@ -26,8 +26,8 @@ def _as_fraction(fps):
 class LumaVideo:
     """A sequence of luma planes with a nominal frame rate.
 
-    frames has shape (T, H, W) and holds uint8 samples (as the 8-bit
-    loaders return them) or finite floats, on [0, 255]. Videos compare and
+    frames has shape (T, H, W) and holds uint8 samples, "<u2" (any uint16)
+    10-bit codes on [0, 1023], or finite floats on [0, 255]. Videos compare and
     hash by identity. A video keeps a memo of work derived from its frames
     (see features.compute_features), which goes when the video does.
     """
@@ -105,21 +105,14 @@ def _frozen_view(stack):
     return stack.view()
 
 
-def _read_luma(f, offsets, height, width, ten_bit):
-    """Read the luma plane at each byte offset of f into one stack.
-
-    8-bit planes are kept as uint8 samples; 10-bit little-endian planes are
-    rescaled to float64 on [0, 255] through one reused sample buffer.
-    """
-    frames = np.empty((len(offsets), height, width), np.float64 if ten_bit else np.uint8)
-    codes = np.empty((height, width), "<u2") if ten_bit else None
+def _read_luma(f, offsets, height, width, dtype):
+    """Read the luma plane at each byte offset of f into one stack of dtype,
+    the file's own sample type: uint8, or "<u2" 10-bit codes."""
+    frames = np.empty((len(offsets), height, width), dtype)
     for t, offset in enumerate(offsets):
-        plane = codes if ten_bit else frames[t]
         f.seek(offset)
-        if f.readinto(plane) != plane.nbytes:
+        if f.readinto(frames[t]) != frames[t].nbytes:
             raise VideoFormatError(f"{f.name}: truncated luma plane at byte {offset}")
-        if ten_bit:
-            np.multiply(codes, 255.0 / 1023.0, out=frames[t])
     return _frozen_view(frames)
 
 
@@ -130,8 +123,8 @@ def load_y4m(path):
     """Decode a YUV4MPEG2 file, keeping the luma plane only.
 
     Supports C420 (also its 8-bit jpeg, paldv and mpeg2 sitings), C422, C444
-    and Cmono, plus their 10-bit "p10" counterparts. 8-bit frames stay uint8
-    samples; 10-bit frames are rescaled to float64 on [0, 255] on load.
+    and Cmono, plus their 10-bit "p10" counterparts. Frames keep the stored
+    samples: uint8 for 8-bit input, "<u2" codes for 10-bit input.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -169,8 +162,8 @@ def load_y4m(path):
         if base not in _CHROMA_SAMPLES:
             raise VideoFormatError(f"{path}: unsupported chroma tag C{chroma}")
 
-        bps = 2 if ten_bit else 1
-        frame_bytes = (width * height + _CHROMA_SAMPLES[base](width, height)) * bps
+        dtype = np.dtype("<u2" if ten_bit else np.uint8)
+        frame_bytes = (width * height + _CHROMA_SAMPLES[base](width, height)) * dtype.itemsize
 
         # Seek from one FRAME header to the next to count the frames, so the
         # luma planes can then be read straight into one preallocated stack.
@@ -191,14 +184,14 @@ def load_y4m(path):
 
         if not offsets:
             raise VideoFormatError(f"{path}: stream contains no frames")
-        return LumaVideo(_read_luma(f, offsets, height, width, ten_bit), fps)
+        return LumaVideo(_read_luma(f, offsets, height, width, dtype), fps)
 
 
 def save_y4m(video, path):
     """Serialize a LumaVideo as an 8-bit monochrome Y4M stream."""
     fps = video.fps
     header = f"YUV4MPEG2 W{video.width} H{video.height} F{fps.numerator}:{fps.denominator} Ip A1:1 Cmono\n"
-    data = np.rint(video.frames).clip(0, 255).astype(np.uint8)
+    data = np.rint(downsample(video, 0).frames).clip(0, 255).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
         for t in range(video.num_frames):
@@ -209,27 +202,24 @@ def save_y4m(video, path):
 def load_raw_yuv(path, width, height, fps, pixel_format="yuv420p"):
     """Decode a headerless planar YUV file with caller-supplied geometry.
 
-    yuv420p frames stay uint8 samples; yuv420p10le frames are rescaled to
-    float64 on [0, 255].
+    Frames keep the stored samples: uint8 for yuv420p, "<u2" codes for
+    yuv420p10le.
     """
     if width <= 0 or height <= 0:
         raise ValueError(f"invalid dimensions {width}x{height}")
     fps = _as_fraction(fps)
-    if pixel_format == "yuv420p":
-        bps = 1
-    elif pixel_format == "yuv420p10le":
-        bps = 2
-    else:
+    if pixel_format not in ("yuv420p", "yuv420p10le"):
         raise VideoFormatError(f"unsupported pixel format {pixel_format!r}")
+    dtype = np.dtype("<u2" if pixel_format == "yuv420p10le" else np.uint8)
 
-    frame_bytes = (width * height + _CHROMA_SAMPLES["420"](width, height)) * bps
+    frame_bytes = (width * height + _CHROMA_SAMPLES["420"](width, height)) * dtype.itemsize
     size = os.path.getsize(path)
     if size == 0 or size % frame_bytes != 0:
         raise VideoFormatError(
             f"{path}: truncated: expected a multiple of {frame_bytes} bytes, got {size}")
 
     with open(path, "rb") as f:
-        frames = _read_luma(f, range(0, size, frame_bytes), height, width, bps == 2)
+        frames = _read_luma(f, range(0, size, frame_bytes), height, width, dtype)
     return LumaVideo(frames, fps)
 
 
@@ -239,19 +229,20 @@ def downsample(video, s):
     This equals s passes of 2x2 average pooling, each truncating an odd
     trailing row/column (the output is (H >> s) x (W >> s)), up to rounding.
     Frames are pooled one at a time, so temporaries stay one frame in size;
-    fps is unchanged. The output frames are float64 (s = 0 converts integer
-    samples and keeps float frames as they are). Integer samples are pooled
-    with exact integer block sums, so uint8 frames pool to exactly what the
-    same frames as float64 pool to.
+    fps is unchanged. Output frames are float64 on [0, 255]: 10-bit codes
+    are scaled by 255/1023 (s = 0 converts integer samples and keeps float
+    frames as they are). Integer samples are pooled with exact integer block
+    sums, scaled once, so uint8 frames pool to exactly the float64 result.
     """
     if s < 0:
         raise ValueError("scale exponent must be >= 0")
     s = int(s)
     frames = video.frames
+    gain = 255.0 / 1023.0 if frames.dtype.kind == "u" and frames.dtype.itemsize == 2 else 1.0
     if s == 0:
         if frames.dtype.kind == "f":
             return LumaVideo(frames, video.fps)
-        return LumaVideo(_frozen_view(frames.astype(np.float64)), video.fps)
+        return LumaVideo(_frozen_view(frames * gain), video.fps)
     t, h, w = frames.shape
     k = 1 << s
     h2, w2 = h >> s, w >> s
@@ -260,10 +251,11 @@ def downsample(video, s):
     # A column of k uint8 samples sums to at most 255 * k, which fits uint16
     # up to k = 257; other dtypes sum in numpy's default accumulator.
     column_dtype = np.uint16 if frames.dtype == np.uint8 and k <= 257 else None
+    scale = gain / (k * k)  # 1/k^2 is a power of two: exact for 8-bit and float
     out = np.empty((t, h2, w2), dtype=np.float64)
     for i, frame in enumerate(frames):
         rows = frame[:h2 * k, :w2 * k].reshape(h2, k, w2 * k).sum(axis=1, dtype=column_dtype)
-        np.divide(rows.reshape(h2, w2, k).sum(axis=2), k * k, out=out[i])
+        np.multiply(rows.reshape(h2, w2, k).sum(axis=2), scale, out=out[i])
     return LumaVideo(_frozen_view(out), video.fps)
 
 

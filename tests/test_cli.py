@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,71 @@ def test_features_deterministic_and_csv(video_pair, capsys):
     values = np.array([float(v) for v in first.strip().split(",")])
     assert values.shape == (8,)
     assert np.all(np.isfinite(values))
+
+
+def test_features_frees_each_dist_before_decoding_the_next(video_pair, capsys,
+                                                          monkeypatch):
+    ref, dist = video_pair
+    load, loaded, alive_at_next_load = cli._load_video, [], []
+
+    def tracking_load(path, args, fps_override=None):
+        if loaded:
+            alive_at_next_load.append(loaded[-1]() is not None)
+        video = load(path, args, fps_override)
+        if path != ref:
+            loaded.append(weakref.ref(video))
+        return video
+
+    monkeypatch.setattr(cli, "_load_video", tracking_load)
+    assert main(["features", ref, dist, dist, dist, "--scales", "1",
+                 "--wavelet", "haar"]) == 0
+    capsys.readouterr()
+    assert len(loaded) == 3
+    assert alive_at_next_load == [False, False]
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--noise-var", "inf", "noise variance must be finite and > 0, got inf"),
+    ("--levels", "0", "levels must be >= 1"),
+    ("--patch", "0", "patch size must be >= 1, got 0"),
+    ("--scales", "4,-1", "scale exponent must be >= 0"),
+])
+def test_features_rejects_a_bad_config_before_decoding(video_pair, capsys, monkeypatch,
+                                                       flag, value, error):
+    ref, dist = video_pair
+    loads = []
+    monkeypatch.setattr(cli, "_load_video", lambda *a, **k: loads.append(a))
+    assert main(["features", ref, dist, f"{flag}={value}"]) == 2
+    assert error in capsys.readouterr().err
+    assert loads == []
+
+
+def _write_ten_bit_twins(stem, codes, fps):
+    """A 10-bit 4:2:0 Y4M file and its headerless yuv420p10le twin."""
+    _, h, w = codes.shape
+    chroma = np.full(2 * ((h + 1) // 2) * ((w + 1) // 2), 512, "<u2").tobytes()
+    planes = [plane.astype("<u2").tobytes() + chroma for plane in codes]
+    Path(f"{stem}.y4m").write_bytes(f"YUV4MPEG2 W{w} H{h} F{fps}:1 C420p10\n".encode()
+                                    + b"".join(b"FRAME\n" + p for p in planes))
+    Path(f"{stem}.yuv").write_bytes(b"".join(planes))
+
+
+def test_ten_bit_y4m_and_raw_twin_print_identical_features(tmp_path, rng, capsys):
+    ref = rng.integers(0, 1024, size=(12, 32, 32))
+    dist = np.clip(ref[::2] + rng.integers(-40, 41, size=(6, 32, 32)), 0, 1023)
+    _write_ten_bit_twins(tmp_path / "ref", ref, 60)
+    _write_ten_bit_twins(tmp_path / "dist", dist, 30)
+    flags = ["--scales", "0,1", "--wavelet", "haar", "--format", "csv"]
+    assert main(["features", str(tmp_path / "ref.y4m"), str(tmp_path / "dist.y4m"),
+                 *flags]) == 0
+    from_y4m = capsys.readouterr().out
+    assert main(["features", str(tmp_path / "ref.yuv"), str(tmp_path / "dist.yuv"),
+                 *flags, "--width", "32", "--height", "32", "--fps", "60",
+                 "--dist-fps", "30", "--pixel-format", "yuv420p10le"]) == 0
+    from_raw = capsys.readouterr().out
+    assert from_raw == from_y4m
+    values = np.array([float(v) for v in from_y4m.split(",")])
+    assert values.shape == (16,) and np.all(np.isfinite(values)) and np.any(values > 0)
 
 
 def test_features_appends_cache(video_pair, tmp_path, capsys):

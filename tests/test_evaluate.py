@@ -137,6 +137,15 @@ def test_read_manifest(tmp_path):
         read_manifest(p)
 
 
+def test_read_manifest_accepts_a_byte_order_mark(tmp_path):
+    # Spreadsheet programs save "CSV UTF-8" with a leading BOM.
+    p = tmp_path / "m.csv"
+    p.write_bytes("\ufeffcontent_id,ref,dist,fps,tag,dmos\n"
+                  "c01,r.y4m,d.y4m,60,crf30,55.5\n".encode("utf-8"))
+    (row,) = read_manifest(p)
+    assert (row.content_id, row.fps, row.dmos) == ("c01", Fraction(60), 55.5)
+
+
 def test_split_contents_disjoint_and_sized():
     contents = [f"c{i:02d}" for i in range(20)]
     train, val, test = split_contents(contents, np.random.default_rng(3))

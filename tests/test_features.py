@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -147,7 +148,7 @@ def test_compute_features_validates_inputs(rng):
 def test_bior22_bank_needs_nine_frames(rng):
     # compute_features needs 4 * T >= the longest filter, 36 taps for bior2.2
     cfg = GreedConfig(scales=(1,))
-    assert build_packet_filters(cfg.wavelet, cfg.levels).max_length == 36
+    assert max(len(f) for f in build_packet_filters(cfg.wavelet, cfg.levels).filters) == 36
     frames = rng.uniform(0, 255, size=(9, 24, 24))
     v = LumaVideo(frames, 60)
     assert np.all(compute_features(v, v, cfg).values == 0.0)
@@ -228,6 +229,21 @@ def test_config_fingerprint_distinguishes():
     assert a.fingerprint() == GreedConfig().fingerprint()
     assert a.fingerprint() != GreedConfig(wavelet="haar").fingerprint()
     assert a.fingerprint() != GreedConfig(noise_var=0.2).fingerprint()
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("noise_var", math.inf, "noise variance must be finite and > 0, got inf"),
+    ("noise_var", math.nan, "noise variance must be finite and > 0, got nan"),
+    ("noise_var", 0.0, "noise variance must be finite and > 0, got 0.0"),
+    ("patch_size", 0, "patch size must be >= 1, got 0"),
+    ("wavelet", "db4", "unknown wavelet 'db4'"),
+    ("levels", 0, "levels must be >= 1"),
+    ("scales", (), "scales must not be empty"),
+    ("scales", (4, -1), "scale exponent must be >= 0"),
+])
+def test_config_rejects_bad_fields_when_built(field, value, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        GreedConfig(**{field: value})
 
 
 def test_fingerprint_changes_with_feature_version(monkeypatch):

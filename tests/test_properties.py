@@ -52,6 +52,22 @@ def test_uint8_pooling_equals_float64_pooling(t, h, w, s, seed):
 
 
 @_SETTINGS
+@given(st.integers(1, 3), st.integers(1, 70), st.integers(1, 70), st.integers(0, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_ten_bit_pooling_equals_scaled_float64_pooling(t, h, w, s, seed):
+    # 10-bit codes are scaled once, after the exact integer block sum, so
+    # they match the scaled codes pooled as float64 to rounding.
+    assume((h >> s) >= 1 and (w >> s) >= 1)
+    codes = np.random.default_rng(seed).integers(0, 1024, size=(t, h, w)).astype("<u2")
+    got = downsample(LumaVideo(codes, 30), s).frames
+    want = downsample(LumaVideo(codes * (255.0 / 1023.0), 30), s).frames
+    assert got.dtype == np.float64
+    if s == 0:
+        assert np.array_equal(got, want)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+@_SETTINGS
 @given(videos(max_frames=30, min_side=8), st.integers(1, 120), st.integers(0, 3))
 def test_frame_dropping_commutes_with_pooling(v, dist_fps, s):
     dist_fps = Fraction(min(dist_fps, v.fps))
@@ -135,7 +151,7 @@ def _padded_loop_filter(frames, taps):
 @given(st.data())
 def test_temporal_filter_matches_padded_loop(wavelet, levels, data):
     bank = build_packet_filters(wavelet, levels)
-    n = data.draw(st.integers(2, 2 * bank.max_length + 4), label="frames")
+    n = data.draw(st.integers(2, 2 * max(len(f) for f in bank.filters) + 4), label="frames")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     frames = rng.integers(0, 1024, size=(n, 3, 4)) * (255.0 / 1023.0)
     # Error relative to the input scale: band outputs on short clips can

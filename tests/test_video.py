@@ -107,7 +107,9 @@ def test_load_y4m_ten_bit(tmp_path):
         f.write(plane.tobytes())
         f.write(np.full(8, 512, dtype="<u2").tobytes())
     v = load_y4m(path)
-    np.testing.assert_allclose(v.frames, 255.0)
+    assert v.frames.dtype == np.dtype("<u2")
+    np.testing.assert_array_equal(v.frames, 1023)
+    np.testing.assert_allclose(downsample(v, 0).frames, 255.0)
 
 
 def test_load_y4m_ten_bit_frames_in_order(tmp_path):
@@ -120,7 +122,10 @@ def test_load_y4m_ten_bit_frames_in_order(tmp_path):
         for plane in codes:
             f.write(b"FRAME\n" + plane.tobytes() + chroma.tobytes())
     v = load_y4m(path)
-    np.testing.assert_array_equal(v.frames, codes.astype(np.float64) * (255.0 / 1023.0))
+    assert v.frames.dtype == np.dtype("<u2")
+    np.testing.assert_array_equal(v.frames, codes)
+    np.testing.assert_array_equal(downsample(v, 0).frames,
+                                  codes.astype(np.float64) * (255.0 / 1023.0))
 
 
 def test_downsample_constant():
@@ -217,9 +222,12 @@ def test_raw_and_y4m_agree_ten_bit(tmp_path):
     with open(raw, "wb") as f:
         for plane in luma:
             f.write(plane.tobytes() + chroma)
-    frames = load_raw_yuv(raw, 9, 5, 30, "yuv420p10le").frames
-    np.testing.assert_array_equal(frames, load_y4m(y4m).frames)
-    np.testing.assert_allclose(frames, luma * (255.0 / 1023.0), rtol=1e-15, atol=0)
+    v = load_raw_yuv(raw, 9, 5, 30, "yuv420p10le")
+    assert v.frames.dtype == np.dtype("<u2")
+    np.testing.assert_array_equal(v.frames, luma)
+    np.testing.assert_array_equal(v.frames, load_y4m(y4m).frames)
+    np.testing.assert_allclose(downsample(v, 0).frames, luma * (255.0 / 1023.0),
+                               rtol=1e-15, atol=0)
 
 
 def test_video_freezes_a_view_not_the_callers_array():
@@ -312,7 +320,7 @@ def test_read_luma_rejects_a_short_read(tmp_path):
     path.write_bytes(bytes(100))
     with open(path, "rb") as f:
         with pytest.raises(VideoFormatError, match="truncated luma plane at byte 90"):
-            _read_luma(f, [0, 90], 4, 5, False)
+            _read_luma(f, [0, 90], 4, 5, np.uint8)
 
 
 def _stack_owners(tmp_path):
