@@ -4,12 +4,11 @@ from .bandpass import FilterBank, SubbandStack, build_packet_filters, spatial_ms
 from .features import (EntropyField, GreedConfig, GreedFeatures,
                        average_reference_entropies, block_entropies,
                        compute_features, sgreed_frame, tgreed_frame)
-from .ggd import (BETA_MAX, BETA_MIN, NoisyMoments,
-                  alpha_from_sigma_beta, beta_from_kurtosis, gamma_fn,
-                  ggd_entropy, ggd_kurtosis, noisy_moments)
+from .ggd import (BETA_MAX, BETA_MIN, alpha_from_sigma_beta, beta_from_kurtosis,
+                  gamma_fn, ggd_entropy, ggd_kurtosis, noisy_moments)
 from .svr import SvrModel, grid_search, load_model, predict, save_model, train_svr
-from .evaluate import (EvalReport, LogisticParams, dump_histogram, hfr_vmaf,
-                       krocc, plcc_rmse, run_protocol, srocc, train_model)
+from .evaluate import (EvalReport, dump_histogram, hfr_vmaf, krocc, plcc_rmse,
+                       run_protocol, srocc, train_model)
 from .video import (LumaVideo, PseudoReference, VideoFormatError, downsample,
                     load_raw_yuv, load_y4m, make_pseudo_reference, save_y4m)
 

@@ -42,10 +42,6 @@ class FilterBank:
 
     filters: list
 
-    @property
-    def num_bands(self):
-        return len(self.filters)
-
 
 @dataclass(frozen=True)
 class SubbandStack:

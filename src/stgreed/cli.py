@@ -137,8 +137,8 @@ def cmd_histdump(args):
     check_bank_fits(args.wavelet, args.levels, video.num_frames)
     video = downsample(video, args.scale)
     bank = build_packet_filters(args.wavelet, args.levels)
-    if not 1 <= args.band <= bank.num_bands:
-        raise ValueError(f"band must be in [1, {bank.num_bands}]")
+    if not 1 <= args.band <= len(bank.filters):
+        raise ValueError(f"band must be in [1, {len(bank.filters)}]")
     coeffs = temporal_filter(video.frames, bank.filters[args.band - 1]).coeffs
     centers, density = evaluate.dump_histogram(coeffs, args.bins)
     sys.stdout.write(evaluate.format_histogram(centers, density))

@@ -10,14 +10,6 @@ from .svr import grid_search, predict, train_svr
 
 
 @dataclass(frozen=True)
-class LogisticParams:
-    b1: float
-    b2: float
-    b3: float
-    b4: float
-
-
-@dataclass(frozen=True)
 class LogisticFit:
     plcc: float          # None when undefined (constant input)
     rmse: float
@@ -93,12 +85,13 @@ def krocc(x, y):
     return float(np.sum(sx * sy) / denom)
 
 
-def logistic(params, x):
-    """Four-parameter logistic mapping of predicted scores."""
+def logistic(b, x):
+    """Four-parameter logistic mapping of predicted scores; b = (b1, b2, b3, b4)."""
+    b1, b2, b3, b4 = b
     x = np.asarray(x, dtype=np.float64)
-    spread = max(abs(params.b4), 1e-12)
-    z = np.clip(-(x - params.b3) / spread, -500.0, 500.0)
-    return params.b2 + (params.b1 - params.b2) / (1.0 + np.exp(z))
+    spread = max(abs(b4), 1e-12)
+    z = np.clip(-(x - b3) / spread, -500.0, 500.0)
+    return b2 + (b1 - b2) / (1.0 + np.exp(z))
 
 
 def plcc_rmse(pred, dmos):
@@ -121,14 +114,14 @@ def plcc_rmse(pred, dmos):
         return LogisticFit(None, rmse)
 
     def sse(b):
-        q = logistic(LogisticParams(*b), pred)
+        q = logistic(b, pred)
         return float(np.sum((q - dmos) ** 2))
 
     x0 = np.array([dmos.max(), dmos.min(), pred.mean(), pred.std()])
     res = minimize(sse, x0, method="Nelder-Mead",
                    options={"maxiter": 10000, "maxfev": 10000,
                             "xatol": 1e-8, "fatol": 1e-10})
-    q = logistic(LogisticParams(*res.x), pred)
+    q = logistic(res.x, pred)
     rmse = float(np.sqrt(np.mean((q - dmos) ** 2)))
     return LogisticFit(_pearson(q, dmos), rmse, bool(res.success))
 

@@ -94,8 +94,8 @@ def block_entropies(frames, noise_var, patch_size=GreedConfig.patch_size):
     betas = np.empty(frames.shape[0])
     for t in range(frames.shape[0]):
         kurt = m4[t] / (m2[t] * m2[t]) if m2[t] > 0 else 0.0
-        moments = ggd.noisy_moments(m2[t], kurt, noise_var)
-        betas[t] = ggd.beta_from_kurtosis(moments.kurtosis)
+        _, kurt = ggd.noisy_moments(m2[t], kurt, noise_var)
+        betas[t] = ggd.beta_from_kurtosis(kurt)
     scale = np.array([ggd.alpha_from_sigma_beta(1.0, b) for b in betas])
     h_unit = np.array([ggd.ggd_entropy(1.0, b) for b in betas])
 
@@ -217,7 +217,7 @@ def compute_features(ref, dist, config=None, jobs=1):
         eps_p = reference_entropies(ratio)
         return float(np.mean(tgreed_frame(eps_r_avg, eps_p.values[:n], eps_d.values[:n])))
 
-    tasks = [(s, k) for s in cfg.scales for k in (None, *range(bank.num_bands))]
+    tasks = [(s, k) for s in cfg.scales for k in (None, *range(len(bank.filters)))]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             values = list(pool.map(index, tasks))
@@ -269,9 +269,9 @@ def read_cache(path, fingerprint=None):
                 raise ValueError(f"{path}:{line_no}: cache record's ref and dist must be strings")
             values = rec["values"]
             if not (isinstance(values, list) and values
-                    and all(type(v) in (int, float) for v in values)):
+                    and all(type(v) in (int, float) and -np.inf < v < np.inf for v in values)):
                 raise ValueError(f"{path}:{line_no}: cache record's values must be a "
-                                 "non-empty list of numbers")
+                                 "non-empty list of finite numbers")
             if fingerprint is not None and rec["fingerprint"] != fingerprint:
                 continue
             out[(rec["ref"], rec["dist"])] = {"values": np.array(values)}

@@ -1,16 +1,9 @@
 """Generalized Gaussian statistics: moments, kurtosis matching, entropy."""
 
 import math
-from dataclasses import dataclass
 
 BETA_MIN = 0.05
 BETA_MAX = 10.0
-
-
-@dataclass(frozen=True)
-class NoisyMoments:
-    variance: float
-    kurtosis: float
 
 
 def gamma_fn(a):
@@ -55,7 +48,7 @@ def beta_from_kurtosis(kappa):
 
 
 def noisy_moments(var_obs, kurt_obs, noise_var):
-    """Variance and kurtosis after the additive Gaussian channel.
+    """(variance, kurtosis) after the additive Gaussian channel.
 
     variance = var + noise_var; kurtosis = kurt * (var / variance)^2.
     """
@@ -64,8 +57,7 @@ def noisy_moments(var_obs, kurt_obs, noise_var):
     if var_obs < 0:
         raise ValueError(f"variance must be >= 0, got {var_obs}")
     variance = var_obs + noise_var
-    kurtosis = kurt_obs * (var_obs / variance) ** 2
-    return NoisyMoments(variance, kurtosis)
+    return variance, kurt_obs * (var_obs / variance) ** 2
 
 
 def alpha_from_sigma_beta(sigma, beta):

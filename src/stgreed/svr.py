@@ -32,20 +32,6 @@ def _rbf(gamma, a, b):
     return np.exp(-gamma * np.maximum(d, 0.0))
 
 
-@dataclass(frozen=True)
-class SmoResult:
-    """One SMO solve: the dual solution and the work it took.
-
-    converged is True when the loop stopped on gap <= _SMO_TOL (or an empty
-    up/low set), False when it ran out of max_iter steps.
-    """
-
-    beta: np.ndarray
-    bias: float
-    iterations: int
-    converged: bool
-
-
 def _solve_smo(K, y, C, epsilon, max_iter=200000):
     """Two-coordinate dual ascent with most-violating-pair selection.
 
@@ -71,7 +57,14 @@ def _solve_smo(K, y, C, epsilon, max_iter=200000):
     bounds are positive because i is in the up set (C - lam_i > 0 or
     lam_i > 0) and j is in the low set.
 
-    Returns an SmoResult with beta = alpha - alpha*.
+    Neither set is ever empty, so the loop needs no empty-set exit: an empty
+    up set would need every alpha_t = C and every alpha*_t = 0, so
+    sum(alpha - alpha*) = nC > 0, which no update allows. The same argument
+    covers the low set.
+
+    Returns (beta, bias, iterations, converged) with beta = alpha - alpha*;
+    converged is True when the loop stopped on gap <= _SMO_TOL, False when
+    it ran out of max_iter steps.
     """
     n = len(y)
     Kr = np.ascontiguousarray(K.T)  # Kr[p] is column p of K, read as a row
@@ -87,7 +80,7 @@ def _solve_smo(K, y, C, epsilon, max_iter=200000):
 
     for it in range(max_iter + 1):
         i, j = int(v_up.argmax()), int(v_low.argmin())
-        gap = v_up.item(i) - v_low.item(j)  # -inf when either set is empty
+        gap = v_up.item(i) - v_low.item(j)
         if it == max_iter or gap <= _SMO_TOL:
             break
         pi, pj = i % n, j % n
@@ -111,9 +104,8 @@ def _solve_smo(K, y, C, epsilon, max_iter=200000):
         if not ((lj > 0.0) if j < n else (lj < C)):
             v_low[j] = np.inf
 
-    bias = np.mean(y) if np.isinf(gap) else 0.5 * (v_up[i] + v_low[j])
     lam = np.array(lam)
-    return SmoResult(lam[:n] - lam[n:], float(bias), it, gap <= _SMO_TOL)
+    return lam[:n] - lam[n:], float(0.5 * (v_up[i] + v_low[j])), it, gap <= _SMO_TOL
 
 
 def train_svr(features, labels, hyperparams, fingerprint=""):
@@ -141,10 +133,10 @@ def train_svr(features, labels, hyperparams, fingerprint=""):
         return SvrModel(empty, np.zeros(0), float(y[0]), shift, scale,
                         (C, epsilon, gamma), fingerprint, (0, True))
 
-    fit = _solve_smo(_rbf(gamma, Xn, Xn), y, C, epsilon)
-    sv = np.abs(fit.beta) > 1e-12
-    return SvrModel(Xn[sv].copy(), fit.beta[sv].copy(), fit.bias, shift, scale,
-                    (C, epsilon, gamma), fingerprint, (fit.iterations, fit.converged))
+    beta, bias, iterations, converged = _solve_smo(_rbf(gamma, Xn, Xn), y, C, epsilon)
+    sv = np.abs(beta) > 1e-12
+    return SvrModel(Xn[sv].copy(), beta[sv].copy(), bias, shift, scale,
+                    (C, epsilon, gamma), fingerprint, (iterations, converged))
 
 
 def predict(model, x):
@@ -224,6 +216,12 @@ def load_model(path):
             hyperparams=tuple(map(float, payload["hyperparams"])),
             fingerprint=payload.get("fingerprint", ""),
         )
+        numbers = (sv, model.dual_coeffs, model.bias, model.feature_shift,
+                   model.feature_scale, model.hyperparams)
+        if not all(np.isfinite(a).all() for a in numbers):
+            raise ValueError("numbers must be finite")
+        if not (model.feature_scale > 0).all():
+            raise ValueError("feature_scale must be > 0")
         _, _, gamma = model.hyperparams
         if float(payload["kernel_gamma"]) != gamma:
             raise ValueError("kernel_gamma differs from hyperparams[2]")

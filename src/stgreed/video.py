@@ -107,12 +107,18 @@ def _frozen_view(stack):
 
 def _read_luma(f, offsets, height, width, dtype):
     """Read the luma plane at each byte offset of f into one stack of dtype,
-    the file's own sample type: uint8, or "<u2" 10-bit codes."""
+    the file's own sample type: uint8, or "<u2" 10-bit codes, which must not
+    exceed 1023."""
     frames = np.empty((len(offsets), height, width), dtype)
     for t, offset in enumerate(offsets):
         f.seek(offset)
-        if f.readinto(frames[t]) != frames[t].nbytes:
+        plane = frames[t]
+        if f.readinto(plane) != plane.nbytes:
             raise VideoFormatError(f"{f.name}: truncated luma plane at byte {offset}")
+        if dtype.itemsize == 2 and plane.max() > 1023:
+            i = int(np.argmax(plane > 1023))
+            raise VideoFormatError(
+                f"{f.name}: 10-bit sample {plane.flat[i]} above 1023 at byte {offset + 2 * i}")
     return _frozen_view(frames)
 
 

@@ -15,7 +15,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from stgreed import ggd
-from stgreed.evaluate import (DatasetRow, LogisticParams, krocc, logistic,
+from stgreed.evaluate import (DatasetRow, krocc, logistic,
                               plcc_rmse, read_manifest, run_protocol, srocc)
 from stgreed.features import (GreedConfig, average_reference_entropies,
                               block_entropies, compute_features, read_cache,
@@ -185,7 +185,7 @@ def test_criterion_07_correlation_oracles(capsys):
             assert abs(krocc(x, y) - tau) <= 1e-12
             assert abs(srocc(x, y) - rho) <= 1e-12
 
-        planted = LogisticParams(90.0, 10.0, 50.0, 12.0)
+        planted = (90.0, 10.0, 50.0, 12.0)
         pred = rng.uniform(0.0, 100.0, size=200)
         dmos = logistic(planted, pred)
         fit = plcc_rmse(pred, dmos)

@@ -7,13 +7,13 @@ from stgreed.bandpass import (build_packet_filters, check_bank_fits, spatial_ms,
 
 def test_haar_level1_is_frame_difference():
     bank = build_packet_filters("haar", 1)
-    assert bank.num_bands == 1
+    assert len(bank.filters) == 1
     np.testing.assert_allclose(bank.filters[0], [1 / np.sqrt(2), -1 / np.sqrt(2)])
 
 
 def test_haar_level3_shape_and_norms():
     bank = build_packet_filters("haar", 3)
-    assert bank.num_bands == 7
+    assert len(bank.filters) == 7
     for f in bank.filters:
         assert len(f) == 8
         assert abs(np.linalg.norm(f) - 1.0) < 1e-12

@@ -1,17 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stgreed import cli, svr
 from stgreed.cli import _config, build_parser, main
 from stgreed.evaluate import split_contents
 from stgreed.features import GreedConfig, append_cache_record
+from stgreed.video import VideoFormatError, load_raw_yuv, load_y4m
 
 from conftest import write_y4m
 
@@ -122,6 +128,39 @@ def test_ten_bit_y4m_and_raw_twin_print_identical_features(tmp_path, rng, capsys
     assert from_raw == from_y4m
     values = np.array([float(v) for v in from_y4m.split(",")])
     assert values.shape == (16,) and np.all(np.isfinite(values)) and np.any(values > 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.data())
+def test_ten_bit_code_above_1023_exits_2_with_its_byte_offset(t, h, w, data):
+    k = data.draw(st.integers(0, t - 1), label="frame")
+    pos = data.draw(st.integers(0, h * w - 1), label="position")
+    value = data.draw(st.integers(1024, 65535), label="value")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    codes = rng.integers(0, 1024, size=(t, h, w))
+    first = k * h * w + pos
+    codes.flat[first] = value
+    # Later samples may be out of range too; the first one is reported.
+    codes.flat[first + 1:] = rng.integers(0, 65536, size=codes.size - first - 1)
+    frame_bytes = 2 * (h * w + 2 * ((h + 1) // 2) * ((w + 1) // 2))
+    header = len(f"YUV4MPEG2 W{w} H{h} F30:1 C420p10\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_ten_bit_twins(f"{tmp}/ref", np.zeros((t, h, w), int), 30)
+        _write_ten_bit_twins(f"{tmp}/bad", codes, 30)
+        for path, offset, load, flags in [
+                (f"{tmp}/bad.y4m", header + 6 * (k + 1) + k * frame_bytes, load_y4m, []),
+                (f"{tmp}/bad.yuv", k * frame_bytes,
+                 lambda p: load_raw_yuv(p, w, h, 30, "yuv420p10le"),
+                 ["--width", str(w), "--height", str(h), "--fps", "30",
+                  "--pixel-format", "yuv420p10le"])]:
+            error = f"{path}: 10-bit sample {value} above 1023 at byte {offset + 2 * pos}"
+            with pytest.raises(VideoFormatError) as exc:
+                load(path)
+            assert str(exc.value) == error
+            ref = path.replace("bad", "ref")
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main(["features", ref, path, *flags]) == 2
+            assert error in err.getvalue()
 
 
 def test_features_appends_cache(video_pair, tmp_path, capsys):
@@ -287,6 +326,10 @@ def _cache_line(ref="r0.y4m", dist="d0_0.y4m", values=(0.5,) * 16):
                        "dist": dist, "content": "c00", "values": values})
 
 
+_FINITE_VALUES = ("cache.jsonl:1: cache record's values must be a non-empty list of "
+                  "finite numbers")
+
+
 @pytest.mark.parametrize("cmd", ["train", "eval"])
 @pytest.mark.parametrize("bad_file, line, error", [
     ("cache", '{"ref": "a"}', "cache.jsonl:1: cache record must be an object"),
@@ -296,11 +339,14 @@ def _cache_line(ref="r0.y4m", dist="d0_0.y4m", values=(0.5,) * 16):
     ("cache", _cache_line(values=[[0.5, 1.0], 2.0]), "cache.jsonl:1: cache record's values"),
     ("cache", _cache_line(values=["0.5"] * 16), "cache.jsonl:1: cache record's values"),
     ("cache", _cache_line(values=3.0), "cache.jsonl:1: cache record's values"),
+    ("cache", _cache_line(values=[0.5] * 15 + [float("nan")]), _FINITE_VALUES),
+    ("cache", _cache_line(values=[float("inf")] + [0.5] * 15), _FINITE_VALUES),
     ("manifest", "c,a,b", "manifest.csv:2: manifest row has too few fields"),
     ("manifest", "c,a,b,1/0,v,3", "manifest.csv:2: bad manifest row"),
     ("manifest", "c,a,b,30,v,nan", "manifest.csv:2: bad manifest row: dmos must be finite"),
 ], ids=["cache-missing-fields", "cache-not-an-object", "cache-list-ref", "cache-int-dist",
         "cache-nested-values", "cache-string-values", "cache-scalar-values",
+        "cache-nan-values", "cache-infinity-values",
         "manifest-short-row", "manifest-zero-fps", "manifest-nan-dmos"])
 def test_malformed_dataset_file_exits_2(tmp_path, rng, capsys, cmd, bad_file, line, error):
     manifest, cache = _write_dataset(tmp_path, rng, n_contents=3, per_content=2)

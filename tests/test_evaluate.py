@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stgreed.evaluate import (DatasetRow, LogisticParams, dump_histogram,
+from stgreed.evaluate import (DatasetRow, dump_histogram,
                               format_histogram, hfr_vmaf, krocc, logistic,
                               plcc_rmse, read_manifest, run_protocol,
                               split_contents, srocc, train_model)
@@ -85,14 +85,14 @@ def test_rank_correlations_reject_non_finite_input(corr, bad):
 
 
 def test_logistic_limits_and_midpoint():
-    p = LogisticParams(90.0, 10.0, 50.0, 12.0)
+    p = (90.0, 10.0, 50.0, 12.0)
     assert logistic(p, np.array([50.0]))[0] == pytest.approx(50.0)
     assert logistic(p, np.array([1e6]))[0] == pytest.approx(90.0)
     assert logistic(p, np.array([-1e6]))[0] == pytest.approx(10.0)
 
 
 def test_plcc_recovers_planted_logistic(rng):
-    planted = LogisticParams(90.0, 10.0, 50.0, 12.0)
+    planted = (90.0, 10.0, 50.0, 12.0)
     pred = rng.uniform(0.0, 100.0, size=200)
     dmos = logistic(planted, pred)
     fit = plcc_rmse(pred, dmos)
@@ -115,7 +115,7 @@ def test_plcc_constant_predictions(rng):
 
 def test_logistic_fit_at_least_raw_pearson(rng):
     pred = rng.uniform(0.0, 100.0, size=100)
-    dmos = logistic(LogisticParams(80.0, 20.0, 40.0, 8.0), pred) \
+    dmos = logistic((80.0, 20.0, 40.0, 8.0), pred) \
         + rng.normal(0.0, 3.0, size=100)
     raw = np.corrcoef(pred, dmos)[0, 1]
     assert plcc_rmse(pred, dmos).plcc >= raw - 1e-6

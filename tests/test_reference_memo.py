@@ -113,7 +113,7 @@ def test_second_call_at_a_rate_scores_only_the_distorted_video(ladder, monkeypat
     monkeypatch.setattr(features, "block_entropies",
                         lambda *args: calls.append(args) or block_entropies(*args))
     assert np.array_equal(compute_features(ref, dists[fps], cfg).values, first)
-    num_bands = build_packet_filters(cfg.wavelet, cfg.levels).num_bands
+    num_bands = len(build_packet_filters(cfg.wavelet, cfg.levels).filters)
     assert len(calls) == len(cfg.scales) * (1 + num_bands)
 
 

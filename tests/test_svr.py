@@ -164,6 +164,12 @@ def test_load_model_rejects_missing_field(tmp_path, rng, drop):
     ({"hyperparams": [10.0, 0.1]}, "not enough values"),
     ({"bias": "x"}, "could not convert"),
     ({"feature_shift": 5}, "has no len"),
+    ({"bias": float("nan")}, "numbers must be finite"),
+    ({"bias": float("inf")}, "numbers must be finite"),
+    ({"dual_coeffs": [float("nan")] * 3}, "numbers must be finite"),
+    ({"hyperparams": [10.0, float("inf"), 0.5]}, "numbers must be finite"),
+    ({"feature_scale": [1.0, 0.0, 1.0, 1.0]}, "feature_scale must be > 0"),
+    ({"feature_scale": [1.0, 1.0, -2.0, 1.0]}, "feature_scale must be > 0"),
 ])
 def test_load_model_rejects_malformed_fields(tmp_path, rng, change, error):
     path, payload = _saved_payload(tmp_path, rng)
@@ -182,12 +188,11 @@ def test_solve_smo_reports_iterations_and_convergence(rng):
     X, y = _toy_problem(rng, n=30)
     Xn = (X - X.mean(axis=0)) / X.std(axis=0)  # as train_svr standardizes
     K = _rbf(0.5, Xn, Xn)
-    capped = _solve_smo(K, y, 10.0, 0.1, max_iter=1)
-    assert (capped.iterations, capped.converged) == (1, False)
-    full = _solve_smo(K, y, 10.0, 0.1)
-    assert full.converged and 1 < full.iterations < 200000
+    assert _solve_smo(K, y, 10.0, 0.1, max_iter=1)[2:] == (1, False)
+    _, _, iterations, converged = _solve_smo(K, y, 10.0, 0.1)
+    assert converged and 1 < iterations < 200000
     model = train_svr(X, y, (10.0, 0.1, 0.5))
-    assert model.smo == (full.iterations, True)
+    assert model.smo == (iterations, True)
 
 
 def _reference_smo(K, y, C, epsilon, tol=1e-3, max_iter=200000):
@@ -255,8 +260,7 @@ def test_solve_smo_matches_reference(n, d, n_dup, C, eps, gamma, max_iter, seed)
     y[dup[:, 0]] = y[dup[:, 1]]
     K = _rbf(gamma, X, X)
     kw = {} if max_iter is None else {"max_iter": max_iter}
-    fit = _solve_smo(K, y, C, eps, **kw)
-    beta, bias = fit.beta, fit.bias
+    beta, bias, _, _ = _solve_smo(K, y, C, eps, **kw)
     beta_ref, bias_ref = _reference_smo(K, y, C, eps, **kw)
     assert bias == bias_ref
     np.testing.assert_allclose(beta, beta_ref, rtol=0, atol=1e-12 * C)
