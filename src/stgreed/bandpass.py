@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -107,6 +106,38 @@ def build_packet_filters(wavelet_name, levels):
     return FilterBank(filters)
 
 
+_BLOCK_ROWS = 64
+
+
+def _mirror_filter(x, taps, axis):
+    """Convolve x with taps along axis -2 or -1, with half-sample mirror boundaries.
+
+    The filter is an (n, n) matrix: output sample t takes tap j from source
+    t + len(taps) // 2 - j (centring the taps compensates the group delay),
+    mirrored back into [0, n) with period 2n. The matrix is applied in
+    blocks of output rows, each reading only the input rows its sources
+    span, so the cost grows as n * (len(taps) + block) rather than n^2.
+    Each block is written in place, so x is never copied or moved.
+    """
+    n = x.shape[axis]
+    t = np.arange(n)[:, None]
+    src = (t + len(taps) // 2 - np.arange(len(taps))) % (2 * n)
+    src = np.where(src < n, src, 2 * n - 1 - src)
+    matrix = np.zeros((n, n))
+    np.add.at(matrix, (t, src), taps)
+    out = np.empty(x.shape)
+    for b in range(0, n, _BLOCK_ROWS):
+        # Span the sources, not the nonzero taps: a block's taps can cancel.
+        rows = src[b:b + _BLOCK_ROWS]
+        lo, hi = rows.min(), rows.max() + 1
+        block = matrix[b:b + _BLOCK_ROWS, lo:hi]
+        if axis == -2:
+            np.matmul(block, x[..., lo:hi, :], out=out[..., b:b + _BLOCK_ROWS, :])
+        else:
+            np.matmul(x[..., lo:hi], block.T, out=out[..., b:b + _BLOCK_ROWS])
+    return out
+
+
 def temporal_filter(frames, taps):
     """Band-pass filter along the temporal axis, one output frame per input frame.
 
@@ -120,9 +151,8 @@ def temporal_filter(frames, taps):
     if len(taps) > 4 * n:
         raise ValueError(f"filter of length {len(taps)} too long for {n} frames")
 
-    # reflect mode is the half-sample mirror; convolve1d centres the taps on
-    # length // 2, which is the group-delay compensation.
-    out = convolve1d(np.asarray(frames, dtype=np.float64), taps, axis=0, mode="reflect")
+    frames = np.asarray(frames, dtype=np.float64)
+    out = _mirror_filter(frames.reshape(n, -1), taps, -2).reshape(frames.shape)
     return SubbandStack(out)
 
 
@@ -145,6 +175,6 @@ def spatial_ms(frames):
     frame and a (T, H, W) stack are both accepted.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    local_mean = convolve1d(frames, _MS_WINDOW_1D, axis=-2, mode="reflect")
-    local_mean = convolve1d(local_mean, _MS_WINDOW_1D, axis=-1, mode="reflect")
+    local_mean = _mirror_filter(frames, _MS_WINDOW_1D, -2)
+    local_mean = _mirror_filter(local_mean, _MS_WINDOW_1D, -1)
     return frames - local_mean

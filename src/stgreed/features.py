@@ -246,9 +246,10 @@ def read_cache(path, fingerprint=None):
 
     A corrupt or incomplete record raises ValueError, except an unterminated
     final line (what a crash inside append_cache_record leaves), which is
-    skipped with a warning.
+    skipped with a warning. Every record kept must have as many values as
+    the first.
     """
-    out = {}
+    out, first = {}, None  # first: (line, number of values) of the first record kept
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
             if not line.strip():
@@ -268,11 +269,22 @@ def read_cache(path, fingerprint=None):
             if not (isinstance(rec["ref"], str) and isinstance(rec["dist"], str)):
                 raise ValueError(f"{path}:{line_no}: cache record's ref and dist must be strings")
             values = rec["values"]
-            if not (isinstance(values, list) and values
-                    and all(type(v) in (int, float) and -np.inf < v < np.inf for v in values)):
+            try:
+                # float() overflows on an int beyond float64's range.
+                ok = (isinstance(values, list) and values
+                      and all(type(v) in (int, float) and -np.inf < float(v) < np.inf
+                              for v in values))
+            except OverflowError:
+                ok = False
+            if not ok:
                 raise ValueError(f"{path}:{line_no}: cache record's values must be a "
                                  "non-empty list of finite numbers")
             if fingerprint is not None and rec["fingerprint"] != fingerprint:
                 continue
-            out[(rec["ref"], rec["dist"])] = {"values": np.array(values)}
+            if first is None:
+                first = (line_no, len(values))
+            elif len(values) != first[1]:
+                raise ValueError(f"{path}:{line_no}: cache record has {len(values)} values, "
+                                 f"but the record on line {first[0]} has {first[1]}")
+            out[(rec["ref"], rec["dist"])] = {"values": np.array(values, dtype=np.float64)}
     return out

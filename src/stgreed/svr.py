@@ -27,9 +27,13 @@ class SvrModel:
     smo: tuple = None            # (iterations, converged) of the fit; not saved
 
 
-def _rbf(gamma, a, b):
+def _sq_dist(a, b):
     d = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.exp(-gamma * np.maximum(d, 0.0))
+    return np.maximum(d, 0.0)
+
+
+def _rbf(gamma, a, b):
+    return np.exp(-gamma * _sq_dist(a, b))
 
 
 def _solve_smo(K, y, C, epsilon, max_iter=200000):
@@ -108,6 +112,30 @@ def _solve_smo(K, y, C, epsilon, max_iter=200000):
     return lam[:n] - lam[n:], float(0.5 * (v_up[i] + v_low[j])), it, gap <= _SMO_TOL
 
 
+def _standardize(features, labels):
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 2:
+        raise ValueError("need at least 2 training rows")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("features and labels must be finite")
+    shift = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    return (X - shift) / scale, y, shift, scale
+
+
+def _fit(K, Xn, y, shift, scale, hyperparams, fingerprint=""):
+    C, epsilon, gamma = hyperparams
+    if np.ptp(y) == 0.0:
+        return SvrModel(np.zeros((0, Xn.shape[1])), np.zeros(0), float(y[0]), shift, scale,
+                        (C, epsilon, gamma), fingerprint, (0, True))
+    beta, bias, iterations, converged = _solve_smo(K, y, C, epsilon)
+    sv = np.abs(beta) > 1e-12
+    return SvrModel(Xn[sv].copy(), beta[sv].copy(), bias, shift, scale,
+                    (C, epsilon, gamma), fingerprint, (iterations, converged))
+
+
 def train_svr(features, labels, hyperparams, fingerprint=""):
     """Train an RBF epsilon-SVR on standardized features.
 
@@ -115,28 +143,9 @@ def train_svr(features, labels, hyperparams, fingerprint=""):
     set yields a constant-predicting model with no support vectors, which
     reports 0 SMO iterations and converged.
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError("need at least 2 training rows")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("features and labels must be finite")
-    C, epsilon, gamma = (float(v) for v in hyperparams)
-
-    shift = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    Xn = (X - shift) / scale
-
-    empty = np.zeros((0, X.shape[1]))
-    if np.ptp(y) == 0.0:
-        return SvrModel(empty, np.zeros(0), float(y[0]), shift, scale,
-                        (C, epsilon, gamma), fingerprint, (0, True))
-
-    beta, bias, iterations, converged = _solve_smo(_rbf(gamma, Xn, Xn), y, C, epsilon)
-    sv = np.abs(beta) > 1e-12
-    return SvrModel(Xn[sv].copy(), beta[sv].copy(), bias, shift, scale,
-                    (C, epsilon, gamma), fingerprint, (iterations, converged))
+    Xn, y, shift, scale = _standardize(features, labels)
+    hp = tuple(float(v) for v in hyperparams)
+    return _fit(_rbf(hp[2], Xn, Xn), Xn, y, shift, scale, hp, fingerprint)
 
 
 def predict(model, x):
@@ -163,15 +172,21 @@ def grid_search(train_xy, val_xy, grid=None):
     grid = DEFAULT_GRID if grid is None else list(grid)
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    X_tr, y_tr = train_xy
     X_val, y_val = val_xy
-
-    def key(hp):
-        C, eps, _ = hp
-        score = srocc(predict(train_svr(X_tr, y_tr, hp), X_val), y_val)
-        return (-np.inf if score is None else score, -C, eps)
-
-    return tuple(max(grid, key=key))  # the first entry of a full tie
+    Xn, y, shift, scale = _standardize(*train_xy)
+    # Every fit trains on the same rows: standardize them and take their
+    # squared distances once, then build one gamma's kernel at a time.
+    dist = _sq_dist(Xn, Xn)
+    points = [tuple(float(v) for v in hp) for hp in grid]
+    keys = [None] * len(grid)
+    for gamma in dict.fromkeys(hp[2] for hp in points):
+        K = np.exp(-gamma * dist)
+        for k, hp in enumerate(points):
+            if hp[2] == gamma:
+                score = srocc(predict(_fit(K, Xn, y, shift, scale, hp), X_val), y_val)
+                keys[k] = (-np.inf if score is None else score, -hp[0], hp[1])
+    best = max(range(len(grid)), key=keys.__getitem__)  # the first entry of a full tie
+    return tuple(grid[best])
 
 
 def save_model(model, path):

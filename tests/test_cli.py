@@ -341,12 +341,16 @@ _FINITE_VALUES = ("cache.jsonl:1: cache record's values must be a non-empty list
     ("cache", _cache_line(values=3.0), "cache.jsonl:1: cache record's values"),
     ("cache", _cache_line(values=[0.5] * 15 + [float("nan")]), _FINITE_VALUES),
     ("cache", _cache_line(values=[float("inf")] + [0.5] * 15), _FINITE_VALUES),
+    ("cache", _cache_line(values=[int("9" * 400)] + [0.5] * 15), _FINITE_VALUES),
+    ("cache", _cache_line(values=[0.5] * 17),
+     "cache.jsonl:2: cache record has 16 values, but the record on line 1 has 17"),
     ("manifest", "c,a,b", "manifest.csv:2: manifest row has too few fields"),
     ("manifest", "c,a,b,1/0,v,3", "manifest.csv:2: bad manifest row"),
     ("manifest", "c,a,b,30,v,nan", "manifest.csv:2: bad manifest row: dmos must be finite"),
 ], ids=["cache-missing-fields", "cache-not-an-object", "cache-list-ref", "cache-int-dist",
         "cache-nested-values", "cache-string-values", "cache-scalar-values",
-        "cache-nan-values", "cache-infinity-values",
+        "cache-nan-values", "cache-infinity-values", "cache-huge-int-values",
+        "cache-17-values",
         "manifest-short-row", "manifest-zero-fps", "manifest-nan-dmos"])
 def test_malformed_dataset_file_exits_2(tmp_path, rng, capsys, cmd, bad_file, line, error):
     manifest, cache = _write_dataset(tmp_path, rng, n_contents=3, per_content=2)

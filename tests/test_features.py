@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from fractions import Fraction
@@ -221,6 +222,43 @@ def test_feature_cache_corrupt_record(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text('{"fingerprint": "x"\n')
     with pytest.raises(ValueError, match=":1:"):
+        read_cache(path)
+
+
+def _record(values, fingerprint="f" * 16, dist="d.y4m"):
+    return json.dumps({"fingerprint": fingerprint, "ref": "r.y4m", "dist": dist,
+                       "content": "c01", "values": values}) + "\n"
+
+
+@pytest.mark.parametrize("n_other", [15, 17])
+def test_feature_cache_rejects_a_record_of_another_length(tmp_path, n_other):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_record([0.5] * 16) + _record([1] * 16, dist="d2.y4m")
+                    + _record([0.5] * n_other, dist="d3.y4m"))
+    with pytest.raises(ValueError, match=re.escape(
+            f"cache.jsonl:3: cache record has {n_other} values, but the record on line 1 "
+            "has 16")):
+        read_cache(path)
+    # Records of another configuration are skipped, whatever their length.
+    cache = read_cache(path, fingerprint="0" * 16)
+    assert cache == {}
+
+
+def test_feature_cache_reads_values_as_float64(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_record([1, 2, 3]) + _record([2 ** 60, 0.5, 1e308], dist="d2.y4m"))
+    cache = read_cache(path)
+    assert cache[("r.y4m", "d.y4m")]["values"].dtype == np.float64
+    assert cache[("r.y4m", "d2.y4m")]["values"].tolist() == [2.0 ** 60, 0.5, 1e308]
+
+
+@pytest.mark.parametrize("big", [10 ** 400, -(10 ** 400), 2 ** 1024],
+                         ids=["1e400", "-1e400", "2**1024"])
+def test_feature_cache_rejects_an_int_beyond_float64(tmp_path, big):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_record([0.5] * 16) + _record([0.5] * 15 + [big], dist="d2.y4m"))
+    with pytest.raises(ValueError, match=re.escape(
+            "cache.jsonl:2: cache record's values must be a non-empty list of finite numbers")):
         read_cache(path)
 
 

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import convolve1d
 
-from stgreed.bandpass import WAVELETS, build_packet_filters, temporal_filter
+from stgreed.bandpass import (_MS_WINDOW_1D, WAVELETS, build_packet_filters, spatial_ms,
+                              temporal_filter)
 from stgreed.features import GreedConfig, compute_features
 from stgreed.video import (LumaVideo, downsample, kept_indices, load_y4m,
                            make_pseudo_reference, save_y4m)
@@ -163,3 +165,36 @@ def test_temporal_filter_matches_padded_loop(wavelet, levels, data):
         np.testing.assert_allclose(temporal_filter(frames, taps).coeffs,
                                    _padded_loop_filter(frames, taps), rtol=0, atol=bound)
 
+
+
+def _draw_samples(data, shape):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    return rng.integers(0, 1024, size=shape) * (255.0 / 1023.0)
+
+
+# Lengths reach past the filters' 64-row blocks, and taps up to the 4n that
+# temporal_filter accepts, so sources wrap the mirror more than once.
+@_SETTINGS
+@given(st.data())
+def test_temporal_filter_matches_scipy_reflect_convolution(data):
+    n = data.draw(st.integers(2, 200), label="frames")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="taps seed"))
+    taps = rng.standard_normal(data.draw(st.integers(1, 4 * n), label="taps"))
+    shape = data.draw(st.sampled_from([(n, 5), (n, 3, 4)]), label="shape")
+    frames = _draw_samples(data, shape)
+    bound = 1e-12 * np.abs(frames).max() * np.abs(taps).sum()
+    np.testing.assert_allclose(temporal_filter(frames, taps).coeffs,
+                               convolve1d(frames, taps, axis=0, mode="reflect"),
+                               rtol=0, atol=bound)
+
+
+@_SETTINGS
+@given(st.data())
+def test_spatial_ms_matches_scipy_reflect_convolution(data):
+    h, w = data.draw(st.integers(1, 150), label="h"), data.draw(st.integers(1, 150), label="w")
+    shape = data.draw(st.sampled_from([(h, w), (2, h, w)]), label="shape")
+    frames = _draw_samples(data, shape)
+    local_mean = convolve1d(frames, _MS_WINDOW_1D, axis=-2, mode="reflect")
+    local_mean = convolve1d(local_mean, _MS_WINDOW_1D, axis=-1, mode="reflect")
+    np.testing.assert_allclose(spatial_ms(frames), frames - local_mean,
+                               rtol=0, atol=1e-12 * np.abs(frames).max())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stgreed.evaluate import srocc
 from stgreed.svr import (DEFAULT_GRID, _rbf, _solve_smo, grid_search, load_model,
                          predict, save_model, train_svr)
 
@@ -110,6 +111,35 @@ def test_grid_search_deterministic(rng):
     grid = DEFAULT_GRID[::12]
     first = grid_search((X, y), (X_val, y_val), grid=grid)
     assert grid_search((X, y), (X_val, y_val), grid=grid) == first
+
+
+def _grid_keys(train_xy, val_xy, grid):
+    """Score each grid point with its own train_svr fit."""
+    X_val, y_val = val_xy
+    keys = []
+    for C, eps, gamma in grid:
+        score = srocc(predict(train_svr(*train_xy, (C, eps, gamma)), X_val), y_val)
+        keys.append((-np.inf if score is None else score, -C, eps))
+    return keys
+
+
+@pytest.mark.parametrize("n_val, grid", [
+    (20, DEFAULT_GRID[::5]),
+    # Four validation rows allow few distinct SROCC values, so scores tie.
+    (4, DEFAULT_GRID),
+    # gamma out of order, repeated and split apart; duplicate points.
+    (4, [(1.0, 0.1, 0.5), (10.0, 1.0, 2.0), (1.0, 2.0, 0.5), (1.0, 2.0, 0.5),
+         (100.0, 0.1, 2.0), (1.0, 2.0, 0.125), (10.0, 2.0, 0.5)]),
+], ids=["spread", "tied", "unordered"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grid_search_picks_what_separate_fits_pick(seed, n_val, grid):
+    rng = np.random.default_rng(seed)
+    train_xy, val_xy = _toy_problem(rng, n=40), _toy_problem(rng, n=n_val)
+    keys = _grid_keys(train_xy, val_xy, grid)
+    want = grid[max(range(len(grid)), key=keys.__getitem__)]
+    if n_val == 4:
+        assert len({k[0] for k in keys}) < len(grid)  # the case has tied scores
+    assert grid_search(train_xy, val_xy, grid) == tuple(want)
 
 
 def test_model_round_trip(tmp_path, rng):
