@@ -5,14 +5,29 @@ from pathlib import Path
 import stgreed
 
 
-def test_import_loads_no_scipy():
-    # `import stgreed` loads numpy only; plcc_rmse imports scipy.optimize
-    # when it is called. Each alone, after numpy, scipy.ndimage (the former
-    # filters) takes about 0.4 s to import, scipy.optimize about 0.65 s and
-    # scipy.stats about 1.5 s (2-core x86 guest).
+def _scipy_loaded_by_import():
     src = str(Path(stgreed.__file__).parents[1])
     code = ("import sys, stgreed, stgreed.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print('\\n'.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return set(out.split())
+
+
+def test_import_does_not_load_scipy_stats():
+    # Importing scipy.stats would add about 1.5 s to `import stgreed` (after
+    # numpy, 2-core x86 guest); the rank correlations are hand-written to
+    # keep it out.
+    assert "scipy.stats" not in _scipy_loaded_by_import()
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize adds about 0.65 s (same guest); only plcc_rmse uses it,
+    # and it imports it when called.
+    assert "scipy.optimize" not in _scipy_loaded_by_import()
+
+
+def test_import_loads_no_scipy():
+    # `import stgreed` loads numpy only. scipy.ndimage, which the filters
+    # once used, takes about 0.4 s to import (same guest).
+    assert _scipy_loaded_by_import() == set()
