@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .svr import grid_search, predict, train_svr
+from .svr import _grid_search, grid_search, predict, train_svr
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,98 @@ def logistic(b, x):
     return b2 + (b1 - b2) / (1.0 + np.exp(z))
 
 
+class _CallLimit(Exception):
+    pass
+
+
+def _nelder_mead(f, x0, maxiter=10000, maxfev=10000, xatol=1e-8, fatol=1e-10):
+    """Minimize f from x0 by the Nelder-Mead simplex; returns (x, success).
+
+    A port of scipy.optimize.minimize(method="Nelder-Mead") without bounds,
+    adaptive coefficients or a callback, step for step, so x comes out
+    bit-identical to scipy's. success is False when maxfev calls or maxiter
+    iterations ran out, as scipy's res.success is.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025  # scipy's nonzdelt and zdelt
+        sim[k + 1] = y
+    fsim = np.full(N + 1, np.inf)
+    calls = 0
+
+    def func(x):
+        # The call count is checked before each evaluation; running out
+        # abandons the rest of the iteration, leaving its moves so far.
+        nonlocal calls
+        if calls >= maxfev:
+            raise _CallLimit
+        calls += 1
+        return f(x)
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = func(sim[k])
+    except _CallLimit:
+        pass
+    # scipy sorts twice here; argsort's default kind need not be stable, so
+    # the second sort can reorder tied vertices.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+
+    iterations = 1
+    while calls < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = func(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = func(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = func(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = func(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = func(sim[j])
+            iterations += 1
+        except _CallLimit:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    return sim[0], calls < maxfev and iterations < maxiter
+
+
 def plcc_rmse(pred, dmos):
     """Fit the logistic non-linearity, then Pearson correlation and RMSE.
 
     Nelder-Mead on the four parameters; non-convergence is reported via the
     flag with the best parameters found.
     """
-    # Imported here so that `import stgreed` leaves scipy.optimize unloaded.
-    from scipy.optimize import minimize
-
     pred = np.asarray(pred, dtype=np.float64)
     dmos = np.asarray(dmos, dtype=np.float64)
     if len(pred) != len(dmos) or len(pred) < 5:
@@ -118,12 +201,10 @@ def plcc_rmse(pred, dmos):
         return float(np.sum((q - dmos) ** 2))
 
     x0 = np.array([dmos.max(), dmos.min(), pred.mean(), pred.std()])
-    res = minimize(sse, x0, method="Nelder-Mead",
-                   options={"maxiter": 10000, "maxfev": 10000,
-                            "xatol": 1e-8, "fatol": 1e-10})
-    q = logistic(res.x, pred)
+    b, converged = _nelder_mead(sse, x0)
+    q = logistic(b, pred)
     rmse = float(np.sqrt(np.mean((q - dmos) ** 2)))
-    return LogisticFit(_pearson(q, dmos), rmse, bool(res.success))
+    return LogisticFit(_pearson(q, dmos), rmse, converged)
 
 
 def read_manifest(path):
@@ -227,8 +308,8 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
         X_val, y_val = _gather(rows, features, val)
         X_te, y_te = _gather(rows, features, test)
 
-        hp = grid_search((X_tr, y_tr), (X_val, y_val), grid)
-        model = train_svr(X_tr, y_tr, hp)
+        # The grid search has already fitted the chosen point on X_tr.
+        _, model = _grid_search((X_tr, y_tr), (X_val, y_val), grid)
         pred = predict(model, X_te)
 
         per_trial["srocc"].append(srocc(pred, y_te))

@@ -1,10 +1,17 @@
 import itertools
+import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stgreed.evaluate import (DatasetRow, dump_histogram,
+import stgreed
+from stgreed.evaluate import (DatasetRow, _nelder_mead, dump_histogram,
                               format_histogram, hfr_vmaf, krocc, logistic,
                               plcc_rmse, read_manifest, run_protocol,
                               split_contents, srocc, train_model)
@@ -119,6 +126,59 @@ def test_logistic_fit_at_least_raw_pearson(rng):
         + rng.normal(0.0, 3.0, size=100)
     raw = np.corrcoef(pred, dmos)[0, 1]
     assert plcc_rmse(pred, dmos).plcc >= raw - 1e-6
+
+
+def _logistic_problem(seed, n, noise, decimals):
+    """sse and plcc_rmse's start point for a noisy logistic fit."""
+    rng = np.random.default_rng(seed)
+    pred = rng.uniform(0.0, 100.0, size=n)
+    if decimals is not None:
+        pred = np.round(pred, decimals)  # ties among the predictions
+    planted = (rng.uniform(60.0, 95.0), rng.uniform(5.0, 40.0), rng.uniform(20.0, 80.0),
+               rng.uniform(2.0, 20.0))
+    dmos = logistic(planted, pred) + rng.normal(0.0, noise, size=n)
+
+    def sse(b):
+        return float(np.sum((logistic(b, pred) - dmos) ** 2))
+
+    return sse, np.array([dmos.max(), dmos.min(), pred.mean(), pred.std()])
+
+
+def _scipy_nelder_mead(f, x0, maxiter=10000, maxfev=10000):
+    from scipy.optimize import minimize
+
+    res = minimize(f, x0, method="Nelder-Mead",
+                   options={"maxiter": maxiter, "maxfev": maxfev,
+                            "xatol": 1e-8, "fatol": 1e-10})
+    return res.x, res.success
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(5, 120), st.floats(0.1, 20.0),
+       st.sampled_from([None, 1, 0, -1]), st.sampled_from([None, 0, 1, 2, 3]),
+       st.sampled_from([{}, {"maxfev": 40}, {"maxfev": 150}, {"maxiter": 20},
+                        {"maxiter": 90}]))
+def test_nelder_mead_matches_scipy_bit_for_bit(seed, n, noise, decimals, zero_at, limits):
+    sse, x0 = _logistic_problem(seed, n, noise, decimals)
+    if zero_at is not None:
+        x0[zero_at] = 0.0  # the simplex steps this entry by zdelt, not 5%
+    x, ok = _nelder_mead(sse, x0, **limits)
+    want_x, want_ok = _scipy_nelder_mead(sse, x0, **limits)
+    assert x.tobytes() == want_x.tobytes()
+    assert ok is bool(want_ok)
+
+
+@pytest.mark.parametrize("limits", [{"maxfev": 3}, {"maxfev": 23}, {"maxiter": 2},
+                                    {"maxiter": 15}])
+def test_nelder_mead_reports_either_limit_as_failure(limits):
+    # maxfev 3 runs out while the simplex is built and maxfev 23 after some
+    # iterations; maxiter stops the loop between iterations.
+    sse, x0 = _logistic_problem(3, 40, 5.0, 0)
+    x0[2] = 0.0
+    x, ok = _nelder_mead(sse, x0, **limits)
+    want_x, want_ok = _scipy_nelder_mead(sse, x0, **limits)
+    assert not ok and not want_ok
+    assert x.tobytes() == want_x.tobytes()
 
 
 def test_read_manifest(tmp_path):
@@ -283,3 +343,34 @@ def test_run_protocol_reports_hyperparams_and_logistic_convergence(rng):
     assert all(hp in grid for hp in report.per_trial["hyperparams"])
     assert [type(c) for c in report.per_trial["logistic_converged"]] == [bool] * 3
 
+
+_PROTOCOL_CHILD = """
+import json, sys
+from fractions import Fraction
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None  # importing scipy or any submodule now fails
+from stgreed.evaluate import DatasetRow, run_protocol
+data = json.load(sys.stdin)
+rows = [DatasetRow(c, ref, dist, Fraction(30), tag, dmos)
+        for c, ref, dist, tag, dmos in data["rows"]]
+features = {(r.ref, r.dist): {"values": v} for r, v in zip(rows, data["values"])}
+report = run_protocol(rows, features, trials=2, seed=4, grid=data["grid"])
+print(repr(report.per_trial))
+print(" ".join(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))
+"""
+
+
+@pytest.mark.parametrize("mode", ["block", "free"])
+def test_run_protocol_needs_no_scipy(rng, mode):
+    rows, features = _synthetic_dataset(rng, n_contents=6, per_content=5)
+    grid = [(100.0, 0.1, 0.0625), (10.0, 1.0, 0.25)]
+    data = {"rows": [(r.content_id, r.ref, r.dist, r.tag, r.dmos) for r in rows],
+            "values": [list(features[(r.ref, r.dist)]["values"]) for r in rows],
+            "grid": grid}
+    src = str(Path(stgreed.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _PROTOCOL_CHILD, mode], cwd=src, check=True,
+                         input=json.dumps(data), capture_output=True, text=True).stdout
+    per_trial, loaded = out.split("\n")[:2]
+    assert loaded == ""
+    want = run_protocol(rows, features, trials=2, seed=4, grid=grid).per_trial
+    assert per_trial == repr(want)

@@ -22,8 +22,8 @@ def test_import_does_not_load_scipy_stats():
 
 
 def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize adds about 0.65 s (same guest); only plcc_rmse uses it,
-    # and it imports it when called.
+    # scipy.optimize adds about 0.65 s (same guest); plcc_rmse, its last
+    # user, now fits with its own port of scipy's Nelder-Mead.
     assert "scipy.optimize" not in _scipy_loaded_by_import()
 
 
