@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .svr import _grid_search, grid_search, predict, train_svr
+from .svr import grid_search, predict, train_svr
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class _CallLimit(Exception):
     pass
 
 
-def _nelder_mead(f, x0, maxiter=10000, maxfev=10000, xatol=1e-8, fatol=1e-10):
+def _nelder_mead(f, x0, maxiter=10000, maxfev=10000):
     """Minimize f from x0 by the Nelder-Mead simplex; returns (x, success).
 
     A port of scipy.optimize.minimize(method="Nelder-Mead") without bounds,
@@ -140,8 +140,8 @@ def _nelder_mead(f, x0, maxiter=10000, maxfev=10000, xatol=1e-8, fatol=1e-10):
     iterations = 1
     while calls < maxfev and iterations < maxiter:
         try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-8  # scipy's xatol and fatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-10):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / N
             xr = (1 + rho) * xbar - rho * sim[-1]
@@ -308,8 +308,8 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
         X_val, y_val = _gather(rows, features, val)
         X_te, y_te = _gather(rows, features, test)
 
-        # The grid search has already fitted the chosen point on X_tr.
-        _, model = _grid_search((X_tr, y_tr), (X_val, y_val), grid)
+        hp = grid_search((X_tr, y_tr), (X_val, y_val), grid)
+        model = train_svr(X_tr, y_tr, hp)
         pred = predict(model, X_te)
 
         per_trial["srocc"].append(srocc(pred, y_te))

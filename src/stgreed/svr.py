@@ -162,10 +162,10 @@ def predict(model, x):
     return float(out[0]) if single else out
 
 
-def _grid_search(train_xy, val_xy, grid):
-    """grid_search's pick as (grid point, its model fitted on train_xy).
+def grid_search(train_xy, val_xy, grid=None):
+    """Pick the (C, epsilon, kernel_gamma) maximizing validation rank correlation.
 
-    Only the running best model is kept, not one per grid point.
+    Ties break toward smaller C, then larger epsilon.
     """
     from .evaluate import srocc
 
@@ -178,26 +178,15 @@ def _grid_search(train_xy, val_xy, grid):
     # squared distances once, then build one gamma's kernel at a time.
     dist = _sq_dist(Xn, Xn)
     points = [tuple(float(v) for v in hp) for hp in grid]
-    best = best_key = best_model = None
+    keys = [None] * len(grid)
     for gamma in dict.fromkeys(hp[2] for hp in points):
         K = np.exp(-gamma * dist)
         for k, hp in enumerate(points):
             if hp[2] == gamma:
-                model = _fit(K, Xn, y, shift, scale, hp)
-                score = srocc(predict(model, X_val), y_val)
-                key = (-np.inf if score is None else score, -hp[0], hp[1])
-                # Of fully tied keys the first grid entry wins.
-                if best is None or key > best_key or (key == best_key and k < best):
-                    best, best_key, best_model = k, key, model
-    return tuple(grid[best]), best_model
-
-
-def grid_search(train_xy, val_xy, grid=None):
-    """Pick the (C, epsilon, kernel_gamma) maximizing validation rank correlation.
-
-    Ties break toward smaller C, then larger epsilon.
-    """
-    return _grid_search(train_xy, val_xy, grid)[0]
+                score = srocc(predict(_fit(K, Xn, y, shift, scale, hp), X_val), y_val)
+                keys[k] = (-np.inf if score is None else score, -hp[0], hp[1])
+    best = max(range(len(grid)), key=keys.__getitem__)  # the first entry of a full tie
+    return tuple(grid[best])
 
 
 def save_model(model, path):

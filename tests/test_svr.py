@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stgreed.evaluate import srocc
-from stgreed.svr import (DEFAULT_GRID, _grid_search, _rbf, _solve_smo, grid_search,
-                         load_model, predict, save_model, train_svr)
+from stgreed.svr import (DEFAULT_GRID, _rbf, _solve_smo, grid_search, load_model,
+                         predict, save_model, train_svr)
 
 
 def _toy_problem(rng, n=60, d=4):
@@ -140,14 +140,6 @@ def test_grid_search_picks_what_separate_fits_pick(seed, n_val, grid):
     if n_val == 4:
         assert len({k[0] for k in keys}) < len(grid)  # the case has tied scores
     assert grid_search(train_xy, val_xy, grid) == tuple(want)
-    # The model the search keeps for its pick is that point's own fit.
-    hp, model = _grid_search(train_xy, val_xy, grid)
-    expect = train_svr(*train_xy, want)
-    assert hp == tuple(want)
-    for name in ("support_vectors", "dual_coeffs", "feature_shift", "feature_scale"):
-        np.testing.assert_array_equal(getattr(model, name), getattr(expect, name))
-    assert (model.bias, model.hyperparams, model.smo) == (expect.bias, expect.hyperparams,
-                                                          expect.smo)
 
 
 def test_model_round_trip(tmp_path, rng):
