@@ -48,10 +48,10 @@ class GreedConfig:
 
 @dataclass(frozen=True)
 class EntropyField:
-    """Per-frame, per-patch scaled entropies for one subband of one video."""
+    """Per-frame, per-patch scaled entropies of one video, per subband if stacked."""
 
-    values: np.ndarray       # (T, P)
-    frame_betas: np.ndarray  # (T,)
+    values: np.ndarray       # (..., T, P)
+    frame_betas: np.ndarray  # (..., T)
 
 
 @dataclass(frozen=True)
@@ -63,47 +63,48 @@ class GreedFeatures:
 
 
 def _patch_variances(frames, patch):
-    rows, cols = frames.shape[1] // patch, frames.shape[2] // patch
-    blocks = frames[:, :rows * patch, :cols * patch].reshape(-1, rows, patch, cols, patch)
+    rows, cols = frames.shape[-2] // patch, frames.shape[-1] // patch
+    blocks = frames[..., :rows * patch, :cols * patch].reshape(-1, rows, patch, cols, patch)
     mean = blocks.mean(axis=(2, 4))
     sq = (blocks * blocks).mean(axis=(2, 4))
-    return (sq - mean * mean).reshape(frames.shape[0], rows * cols)
+    return (sq - mean * mean).reshape(*frames.shape[:-2], rows * cols)
 
 
 def block_entropies(frames, noise_var, patch_size=GreedConfig.patch_size):
-    """Scaled entropies of band-pass coefficient frames.
+    """Scaled entropies (..., T, P) and frame betas (..., T) of (..., T, H, W) frames.
 
     Per frame, the GGD shape is estimated once from the whole-frame noisy
     kurtosis; the scale (and hence the entropy) is computed per
     non-overlapping patch from the noise-lifted patch variance. Each patch
-    entropy is premultiplied by its log-variance scaling factor.
+    entropy is premultiplied by its log-variance scaling factor. A stack of
+    B videos gives what B separate calls give.
     """
     if patch_size < 1:
         raise ValueError(f"patch size must be >= 1, got {patch_size}")
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape[1] < patch_size or frames.shape[2] < patch_size:
+    if frames.shape[-2] < patch_size or frames.shape[-1] < patch_size:
         raise ValueError(f"frames smaller than one {patch_size}x{patch_size} patch")
 
-    centered = frames - frames.mean(axis=(1, 2), keepdims=True)
-    sq = centered * centered
-    m2 = sq.mean(axis=(1, 2))
-    m4 = (sq * sq).mean(axis=(1, 2))  # not centered ** 4: pow is 7x slower
+    var_p = _patch_variances(frames, patch_size)
+    # Taken after the patch variances and squared in place: at most two copies of a stack.
+    sq = frames - frames.mean(axis=(-2, -1), keepdims=True)
+    m2 = np.square(sq, out=sq).mean(axis=(-2, -1))
+    m4 = np.square(sq, out=sq).mean(axis=(-2, -1))  # not centered ** 4: pow is 7x slower
 
     # The bisection's 1e-6 stopping rule makes beta depend on exactly how
     # each midpoint is evaluated, so it stays the scalar per-frame loop.
-    betas = np.empty(frames.shape[0])
-    for t in range(frames.shape[0]):
-        kurt = m4[t] / (m2[t] * m2[t]) if m2[t] > 0 else 0.0
-        _, kurt = ggd.noisy_moments(m2[t], kurt, noise_var)
-        betas[t] = ggd.beta_from_kurtosis(kurt)
-    scale = np.array([ggd.alpha_from_sigma_beta(1.0, b) for b in betas])
-    h_unit = np.array([ggd.ggd_entropy(1.0, b) for b in betas])
+    betas, scale, h_unit = np.empty((3, *m2.shape))
+    for i in np.ndindex(m2.shape):
+        kurt = m4[i] / (m2[i] * m2[i]) if m2[i] > 0 else 0.0
+        _, kurt = ggd.noisy_moments(m2[i], kurt, noise_var)
+        betas[i] = ggd.beta_from_kurtosis(kurt)
+        scale[i] = ggd.alpha_from_sigma_beta(1.0, betas[i])
+        h_unit[i] = ggd.ggd_entropy(1.0, betas[i])
 
-    var_p = _patch_variances(frames, patch_size)
     sigma = np.sqrt(var_p + noise_var)
-    alpha = sigma * scale[:, None]
+    alpha = sigma * scale[..., None]
     # h(alpha, beta) = h(1, beta) + log(alpha)
-    h = h_unit[:, None] + np.log(alpha)
+    h = h_unit[..., None] + np.log(alpha)
     gamma = np.log1p(var_p + noise_var)
     return EntropyField(gamma * h, betas)
 
@@ -113,12 +114,12 @@ def average_reference_entropies(ref_field, rate_ratio, n_out=None):
 
     Output frame i averages reference frames [kept[i], kept[i + 1]) with
     kept = kept_indices(n_ref, rate_ratio, 1), i.e. [floor(i*F), floor((i+1)*F))
-    cut at n_ref; F = 1 is the identity.
+    cut at n_ref; F = 1 is the identity. Frames are axis -2 of values, -1 of betas.
     """
     ratio = Fraction(rate_ratio)
     if ratio < 1:
         raise ValueError(f"rate ratio must be >= 1, got {rate_ratio}")
-    n_ref = ref_field.values.shape[0]
+    n_ref = ref_field.values.shape[-2]
     if n_out is None:
         n_out = int(n_ref / ratio)
     edges = (kept_indices(n_ref, ratio, 1) + [n_ref])[:n_out + 1]
@@ -126,17 +127,13 @@ def average_reference_entropies(ref_field, rate_ratio, n_out=None):
         raise ValueError(f"empty averaging cell at output frame {len(edges) - 1}")
     # reduceat's last cell runs to the end of its input, so cut that at edges[-1].
     starts, counts = edges[:-1], np.diff(edges)
-    values = np.add.reduceat(ref_field.values[:edges[-1]], starts) / counts[:, None]
-    betas = np.add.reduceat(ref_field.frame_betas[:edges[-1]], starts) / counts
-    return EntropyField(values, betas)
+    values = np.add.reduceat(ref_field.values[..., :edges[-1], :], starts, axis=-2)
+    betas = np.add.reduceat(ref_field.frame_betas[..., :edges[-1]], starts, axis=-1)
+    return EntropyField(values / counts[:, None], betas / counts)
 
 
 def tgreed_frame(eps_ref_avg, eps_pr, eps_dist):
-    """Temporal entropic-difference index per frame.
-
-    Takes one frame's patch entropies (P,) or a stack of frames (n, P) and
-    returns a float or one value per frame.
-    """
+    """Temporal entropic-difference index per frame, from (..., P) patch entropies to (...)."""
     eps_ref_avg = np.asarray(eps_ref_avg, dtype=np.float64)
     eps_pr = np.asarray(eps_pr, dtype=np.float64)
     eps_dist = np.asarray(eps_dist, dtype=np.float64)
@@ -147,7 +144,7 @@ def tgreed_frame(eps_ref_avg, eps_pr, eps_dist):
 
 
 def sgreed_frame(theta_ref, theta_dist):
-    """Spatial entropic-difference index per frame; (P,) or (n, P) as tgreed_frame."""
+    """Spatial entropic-difference index per frame; (..., P) to (...) as tgreed_frame."""
     theta_ref = np.asarray(theta_ref, dtype=np.float64)
     theta_dist = np.asarray(theta_dist, dtype=np.float64)
     if theta_ref.shape != theta_dist.shape:
@@ -163,7 +160,7 @@ def compute_features(ref, dist, config=None, jobs=1):
     first. Each video is pooled once from full resolution; the pseudo
     reference is the frame-dropped pooled reference (frame dropping and
     spatial pooling commute). The reference's pooled frames and entropy
-    fields are kept with the reference object, so later calls with the same
+    tables are kept with the reference object, so later calls with the same
     reference reuse them; its frames must not change after it was built.
     """
     cfg = config or GreedConfig()
@@ -180,8 +177,8 @@ def compute_features(ref, dist, config=None, jobs=1):
 
     ratio = ref.fps / dist.fps
     n = min(dist.num_frames, int(ref.num_frames / ratio))  # frames compared
-    # Reference-side work: scale s -> pooled reference; (rate ratio, s, band)
-    # -> entropies of the reference dropped to that rate (band None: spatial).
+    # Reference-side work: scale s -> pooled reference; (rate ratio, s) -> entropy
+    # table of the reference dropped to that rate (a spatial row at rate 1 only).
     state = ref._memo_for(cfg.fingerprint())
 
     # Incremental pyramid: s poolings then the difference to the next scale.
@@ -194,36 +191,33 @@ def compute_features(ref, dist, config=None, jobs=1):
         prev_s = s
         pyramids[s] = (r.frames, d.frames)
 
-    def index(task):
-        """SGREED at scale s when k is None, else TGREED of subband k."""
-        s, k = task
+    def table(frames, spatial):
+        """block_entropies of spatial_ms(frames) if spatial, then of each band, stacked."""
+        stack = np.empty((spatial + len(bank.filters), *frames.shape))
+        if spatial:
+            stack[0] = spatial_ms(frames)
+        for k, taps in enumerate(bank.filters):
+            stack[spatial + k] = temporal_filter(frames, taps).coeffs
+        return block_entropies(stack, cfg.noise_var, cfg.patch_size)
+
+    def scale_features(s):
+        """SGREED then the TGREED of each band, at scale s."""
         r, d = pyramids[s]
+        for rate in (1, ratio):
+            if (rate, s) not in state:
+                state[rate, s] = table(r, True) if rate == 1 else table(r[kept], False)
+        eps_d = table(d, True).values[:, :n]
+        eps_r_avg = average_reference_entropies(state[1, s], ratio, n_out=n).values
+        eps_p = state[ratio, s].values[-len(bank.filters):, :n]
+        sgreed = np.mean(sgreed_frame(eps_r_avg[0], eps_d[0]))
+        return [sgreed, *np.mean(tgreed_frame(eps_r_avg[1:], eps_p, eps_d[1:]), axis=-1)]
 
-        def entropies(frames):
-            coeffs = (spatial_ms(frames) if k is None
-                      else temporal_filter(frames, bank.filters[k]).coeffs)
-            return block_entropies(coeffs, cfg.noise_var, cfg.patch_size)
-
-        def reference_entropies(rate):
-            key = (rate, s, k)
-            if key not in state:
-                state[key] = entropies(r if rate == 1 else r[kept])
-            return state[key]
-
-        eps_r, eps_d = reference_entropies(1), entropies(d)
-        eps_r_avg = average_reference_entropies(eps_r, ratio, n_out=n).values
-        if k is None:
-            return float(np.mean(sgreed_frame(eps_r_avg, eps_d.values[:n])))
-        eps_p = reference_entropies(ratio)
-        return float(np.mean(tgreed_frame(eps_r_avg, eps_p.values[:n], eps_d.values[:n])))
-
-    tasks = [(s, k) for s in cfg.scales for k in (None, *range(len(bank.filters)))]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(index, tasks))
+            values = list(pool.map(scale_features, cfg.scales))
     else:
-        values = list(map(index, tasks))
-    return GreedFeatures(np.array(values), cfg)
+        values = list(map(scale_features, cfg.scales))
+    return GreedFeatures(np.concatenate(values), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -220,8 +220,10 @@ def load_model(path):
             f"{path}: unsupported model version {payload.get('version')!r} "
             f"(expected {MODEL_VERSION})")
     try:
-        n_dim = len(payload["feature_shift"])
-        sv = np.array(payload["support_vectors"], dtype=np.float64).reshape(-1, n_dim)
+        d = len(payload["feature_shift"])
+        sv = np.array(payload["support_vectors"], dtype=np.float64)
+        if sv.size == 0:  # no support vectors: a constant model
+            sv = sv.reshape(0, d)
         model = SvrModel(
             support_vectors=sv,
             dual_coeffs=np.array(payload["dual_coeffs"], dtype=np.float64),
@@ -237,6 +239,10 @@ def load_model(path):
             raise ValueError("numbers must be finite")
         if not (model.feature_scale > 0).all():
             raise ValueError("feature_scale must be > 0")
+        if sv.shape != (len(model.dual_coeffs), d):
+            raise ValueError(f"support_vectors must be ({len(model.dual_coeffs)}, {d}), got {sv.shape}")
+        if model.feature_scale.shape != (d,):
+            raise ValueError(f"feature_scale must be ({d},), got {model.feature_scale.shape}")
         _, _, gamma = model.hyperparams
         if float(payload["kernel_gamma"]) != gamma:
             raise ValueError("kernel_gamma differs from hyperparams[2]")

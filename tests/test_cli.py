@@ -233,7 +233,10 @@ def test_score_with_constant_model(video_pair, tmp_path, capsys):
      "model file lacks field 'feature_shift'"),
     (lambda payload: {**payload, "kernel_gamma": payload["kernel_gamma"] * 2},
      "kernel_gamma differs from hyperparams[2]"),
-], ids=["not-an-object", "missing-field", "kernel-gamma-mismatch"])
+    # One row of 2 * 8 values would reshape to the two rows dual_coeffs asks for.
+    (lambda payload: {**payload, "support_vectors": [[0.0] * 16], "dual_coeffs": [1.0, 1.0]},
+     "support_vectors must be (2, 8), got (1, 16)"),
+], ids=["not-an-object", "missing-field", "kernel-gamma-mismatch", "support-vector-shape"])
 def test_score_malformed_model_exits_2(video_pair, tmp_path, capsys, edit, error):
     ref, dist = video_pair
     model_path = tmp_path / "m.json"

@@ -163,15 +163,19 @@ _RATIOS = st.one_of(
 def test_average_reference_entropies_matches_per_cell_loop(n_ref, ratio, data):
     n_cells = math.ceil(n_ref / ratio)  # the last one may be cut short
     n_out = data.draw(st.one_of(st.none(), st.integers(0, n_cells)))
+    lead = data.draw(st.sampled_from([(), (3,)]))  # a table of bands has one leading axis
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     # Positive entropies, so the relative tolerance meets no cancellation.
-    field = EntropyField(rng.uniform(0.0, 10.0, size=(n_ref, 3)),
-                         rng.uniform(0.5, 2.0, size=n_ref))
+    field = EntropyField(rng.uniform(0.0, 10.0, size=(*lead, n_ref, 3)),
+                         rng.uniform(0.5, 2.0, size=(*lead, n_ref)))
 
     got = average_reference_entropies(field, ratio, n_out)
-    want = _average_per_cell(field, ratio, n_out)
-    assert got.values.shape == want.values.shape
-    np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(got.frame_betas, want.frame_betas, rtol=1e-12, atol=0)
+    for i in np.ndindex(lead):
+        want = _average_per_cell(EntropyField(field.values[i], field.frame_betas[i]),
+                                 ratio, n_out)
+        assert got.values[i].shape == want.values.shape
+        assert got.frame_betas[i].shape == want.frame_betas.shape
+        np.testing.assert_allclose(got.values[i], want.values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.frame_betas[i], want.frame_betas, rtol=1e-12, atol=0)
     with pytest.raises(ValueError, match="empty averaging cell"):
         average_reference_entropies(field, ratio, n_out=n_cells + 1)

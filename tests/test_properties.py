@@ -12,7 +12,7 @@ from scipy.ndimage import convolve1d
 
 from stgreed.bandpass import (_MS_WINDOW_1D, WAVELETS, build_packet_filters, spatial_ms,
                               temporal_filter)
-from stgreed.features import GreedConfig, compute_features
+from stgreed.features import GreedConfig, block_entropies, compute_features
 from stgreed.video import (LumaVideo, downsample, kept_indices, load_y4m,
                            make_pseudo_reference, save_y4m)
 
@@ -198,3 +198,21 @@ def test_spatial_ms_matches_scipy_reflect_convolution(data):
     local_mean = convolve1d(local_mean, _MS_WINDOW_1D, axis=-1, mode="reflect")
     np.testing.assert_allclose(spatial_ms(frames), frames - local_mean,
                                rtol=0, atol=1e-12 * np.abs(frames).max())
+
+
+@_SETTINGS
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 30), st.integers(1, 30),
+       st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_block_entropies_of_a_stack_equal_separate_calls(b, t, h, w, patch, seed):
+    assume(h >= patch and w >= patch)
+    rng = np.random.default_rng(seed)
+    # Band-pass-like coefficients of varied spread and tails, and flat frames.
+    stack = rng.standard_t(rng.uniform(2.5, 30.0), size=(b, t, h, w))
+    stack *= rng.choice([0.0, 0.01, 1.0, 40.0], size=(b, t, 1, 1))
+    got = block_entropies(stack, 0.1, patch)
+    assert got.values.shape == (b, t, (h // patch) * (w // patch))
+    assert got.frame_betas.shape == (b, t)
+    for i in range(b):
+        want = block_entropies(stack[i], 0.1, patch)
+        assert np.array_equal(got.values[i], want.values)
+        assert np.array_equal(got.frame_betas[i], want.frame_betas)

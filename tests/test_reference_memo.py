@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from stgreed import features
-from stgreed.bandpass import build_packet_filters
 from stgreed.features import GreedConfig, compute_features
 from stgreed.video import LumaVideo, kept_indices, load_y4m
 
@@ -113,8 +112,9 @@ def test_second_call_at_a_rate_scores_only_the_distorted_video(ladder, monkeypat
     monkeypatch.setattr(features, "block_entropies",
                         lambda *args: calls.append(args) or block_entropies(*args))
     assert np.array_equal(compute_features(ref, dists[fps], cfg).values, first)
-    num_bands = len(build_packet_filters(cfg.wavelet, cfg.levels).filters)
-    assert len(calls) == len(cfg.scales) * (1 + num_bands)
+    # One table per scale, each a stack of the distorted video's frames.
+    assert len(calls) == len(cfg.scales)
+    assert all(args[0].shape[-3] == dists[fps].num_frames for args in calls)
 
 
 def test_writable_frames_are_not_memoised(ladder):

@@ -200,6 +200,12 @@ def test_load_model_rejects_missing_field(tmp_path, rng, drop):
     ({"hyperparams": [10.0, float("inf"), 0.5]}, "numbers must be finite"),
     ({"feature_scale": [1.0, 0.0, 1.0, 1.0]}, "feature_scale must be > 0"),
     ({"feature_scale": [1.0, 1.0, -2.0, 1.0]}, "feature_scale must be > 0"),
+    # Two rows of 2 * 4 values would reshape to the four rows dual_coeffs asks for.
+    ({"support_vectors": [[0.5] * 8] * 2, "dual_coeffs": [1.0, -1.0, 0.5, -0.5]},
+     r"support_vectors must be \(4, 4\), got \(2, 8\)"),
+    ({"support_vectors": [[0.5] * 4] * 3, "dual_coeffs": [1.0, -1.0]},
+     r"support_vectors must be \(2, 4\), got \(3, 4\)"),
+    ({"feature_scale": [1.0, 1.0, 1.0]}, r"feature_scale must be \(4,\), got \(3,\)"),
 ])
 def test_load_model_rejects_malformed_fields(tmp_path, rng, change, error):
     path, payload = _saved_payload(tmp_path, rng)
