@@ -31,8 +31,7 @@ class GreedConfig:
     def __post_init__(self):
         # The same checks as the functions that use each field, made before
         # any video is decoded.
-        if not 0 < self.noise_var < np.inf:
-            raise ValueError(f"noise variance must be finite and > 0, got {self.noise_var}")
+        ggd.check_noise_var(self.noise_var)
         if self.patch_size < 1:
             raise ValueError(f"patch size must be >= 1, got {self.patch_size}")
         _analysis_pair(self.wavelet, self.levels)
@@ -62,11 +61,59 @@ class GreedFeatures:
     config: GreedConfig = field(default_factory=GreedConfig)
 
 
+def _pairwise_sum(views, square):
+    """Sum of the views, or of their squares, in numpy's pairwise order for len(views) values.
+
+    Each term is made as it is added, so at most the 8 partial sums and one
+    term are held.
+    """
+    def term(v, first=False):
+        if square:
+            return v * v
+        return v.copy() if first else v  # a sum starts from a copy, not a view of the frames
+
+    n = len(views)
+    if n > 128:  # numpy's block size: halve at a multiple of 8
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(views[:half], square) + _pairwise_sum(views[half:], square)
+    if n < 8:
+        total = term(views[0], first=True)
+        for v in views[1:]:
+            total += term(v)
+        return total
+    acc = [term(v, first=True) for v in views[:8]]
+    tail = n - n % 8
+    for i in range(8, tail):
+        acc[i % 8] += term(views[i])
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for v in views[tail:]:
+        total += term(v)
+    return total
+
+
 def _patch_variances(frames, patch):
+    """Variance of each non-overlapping patch, (..., T, H, W) to (..., T, P).
+
+    Adds strided views, one per position in the patch, in the order numpy's
+    mean(axis=(2, 4)) of the (..., rows, patch, cols, patch) reshape adds
+    them, so the result is bit-identical to that mean without a stack-sized
+    square: a pairwise sum per patch row and the row sums in order, or one
+    pairwise run over the whole patch when the frame is one patch wide.
+    """
     rows, cols = frames.shape[-2] // patch, frames.shape[-1] // patch
-    blocks = frames[..., :rows * patch, :cols * patch].reshape(-1, rows, patch, cols, patch)
-    mean = blocks.mean(axis=(2, 4))
-    sq = (blocks * blocks).mean(axis=(2, 4))
+    grid = [[frames[..., a:rows * patch:patch, b:cols * patch:patch] for b in range(patch)]
+            for a in range(patch)]
+
+    def patch_mean(square):
+        if cols == 1:
+            return _pairwise_sum([x for row in grid for x in row], square) / (patch * patch)
+        total = _pairwise_sum(grid[0], square)
+        for row in grid[1:]:
+            total += _pairwise_sum(row, square)
+        return total / (patch * patch)
+
+    mean = patch_mean(False)
+    sq = patch_mean(True)
     return (sq - mean * mean).reshape(*frames.shape[:-2], rows * cols)
 
 
@@ -79,6 +126,7 @@ def block_entropies(frames, noise_var, patch_size=GreedConfig.patch_size):
     entropy is premultiplied by its log-variance scaling factor. A stack of
     B videos gives what B separate calls give.
     """
+    ggd.check_noise_var(noise_var)
     if patch_size < 1:
         raise ValueError(f"patch size must be >= 1, got {patch_size}")
     frames = np.asarray(frames, dtype=np.float64)
@@ -90,16 +138,21 @@ def block_entropies(frames, noise_var, patch_size=GreedConfig.patch_size):
     sq = frames - frames.mean(axis=(-2, -1), keepdims=True)
     m2 = np.square(sq, out=sq).mean(axis=(-2, -1))
     m4 = np.square(sq, out=sq).mean(axis=(-2, -1))  # not centered ** 4: pow is 7x slower
+    kurt = np.divide(m4, m2 * m2, out=np.zeros_like(m2), where=m2 > 0)
 
-    # The bisection's 1e-6 stopping rule makes beta depend on exactly how
-    # each midpoint is evaluated, so it stays the scalar per-frame loop.
-    betas, scale, h_unit = np.empty((3, *m2.shape))
-    for i in np.ndindex(m2.shape):
-        kurt = m4[i] / (m2[i] * m2[i]) if m2[i] > 0 else 0.0
-        _, kurt = ggd.noisy_moments(m2[i], kurt, noise_var)
-        betas[i] = ggd.beta_from_kurtosis(kurt)
-        scale[i] = ggd.alpha_from_sigma_beta(1.0, betas[i])
-        h_unit[i] = ggd.ggd_entropy(1.0, betas[i])
+    def per_frame(fn, *arrays):
+        """fn of each frame's values as Python floats, as an array of m2's shape."""
+        return np.array(list(map(fn, *(a.ravel().tolist() for a in arrays)))).reshape(m2.shape)
+
+    # One bisection for all the table's frames, bit-identical to the scalar
+    # call per frame: every lane starts from the same interval, and each
+    # midpoint's kurtosis, the noise channel's square and the GGD constants
+    # stay libm pow, math.gamma and math.log per value, which numpy's vector
+    # square, pow and log do not match in a fraction of values.
+    kurt = per_frame(lambda var, k: ggd.noisy_moments(var, k, noise_var)[1], m2, kurt)
+    betas = ggd.beta_from_kurtosis(kurt)
+    scale = per_frame(lambda beta: ggd.alpha_from_sigma_beta(1.0, beta), betas)
+    h_unit = per_frame(lambda beta: ggd.ggd_entropy(1.0, beta), betas)
 
     sigma = np.sqrt(var_p + noise_var)
     alpha = sigma * scale[..., None]

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 BETA_MIN = 0.05
 BETA_MAX = 10.0
 
@@ -26,8 +28,12 @@ def beta_from_kurtosis(kappa):
     """Invert the shape/kurtosis map by bisection; out-of-range values clamp.
 
     Kurtosis is strictly decreasing in beta, so bisection is exact to the
-    requested relative tolerance (1e-6).
+    requested relative tolerance (1e-6). A scalar gives a float; an ndarray
+    gives a float64 array of its shape, each element equal to the scalar
+    call's.
     """
+    if isinstance(kappa, np.ndarray):
+        return _betas_from_kurtoses(kappa.astype(np.float64, copy=False))
     if math.isnan(kappa):
         raise ValueError("kurtosis is NaN")
     if kappa >= _KURT_AT_MIN:
@@ -47,13 +53,47 @@ def beta_from_kurtosis(kappa):
     return 0.5 * (lo + hi)
 
 
+def _betas_from_kurtoses(kappa):
+    """The scalar bisection run lane-wise over an array, bit for bit.
+
+    Every lane starts from [BETA_MIN, BETA_MAX], so lanes that have taken the
+    same branches hold the same midpoint; its kurtosis is computed once per
+    depth, with math.gamma and float ** as in ggd_kurtosis. A lane leaves on
+    either of the scalar loop's exits, a spent interval or a close enough
+    kurtosis; both return the midpoint, so their order does not matter.
+    """
+    if np.isnan(kappa).any():
+        raise ValueError("kurtosis is NaN")
+    beta = np.where(kappa >= _KURT_AT_MIN, BETA_MIN, BETA_MAX)
+    out = beta.reshape(-1)  # a view: np.where returns a new contiguous array
+    lanes = np.flatnonzero((kappa < _KURT_AT_MIN) & (kappa > _KURT_AT_MAX))
+    k = kappa.reshape(-1)[lanes]
+    lo, hi = np.full(k.shape, BETA_MIN), np.full(k.shape, BETA_MAX)
+    while lanes.size:
+        mid = 0.5 * (lo + hi)
+        mids, at = np.unique(mid, return_inverse=True)
+        k_mid = np.array([math.gamma(5.0 / m) * math.gamma(1.0 / m) / math.gamma(3.0 / m) ** 2
+                          for m in mids.tolist()])[at]
+        done = ((hi - lo) <= 1e-9 * hi) | (np.abs(k_mid - k) <= 1e-6 * k)
+        out[lanes[done]] = mid[done]
+        go_up, on = k_mid > k, ~done
+        lo, hi = np.where(go_up, mid, lo)[on], np.where(go_up, hi, mid)[on]
+        lanes, k = lanes[on], k[on]
+    return beta
+
+
+def check_noise_var(noise_var):
+    """Raise unless the additive channel's variance is finite and > 0."""
+    if not 0 < noise_var < math.inf:
+        raise ValueError(f"noise variance must be finite and > 0, got {noise_var}")
+
+
 def noisy_moments(var_obs, kurt_obs, noise_var):
     """(variance, kurtosis) after the additive Gaussian channel.
 
     variance = var + noise_var; kurtosis = kurt * (var / variance)^2.
     """
-    if not 0 < noise_var < math.inf:
-        raise ValueError(f"noise variance must be finite and > 0, got {noise_var}")
+    check_noise_var(noise_var)
     if var_obs < 0:
         raise ValueError(f"variance must be >= 0, got {var_obs}")
     variance = var_obs + noise_var

@@ -67,6 +67,15 @@ def test_block_entropies_rejects_small_frames():
         block_entropies(np.zeros((1, 4, 4)), 0.1)
 
 
+@pytest.mark.parametrize("noise_var", [0, -1, math.inf, math.nan])
+@pytest.mark.parametrize("shape", [(2, 3, 10, 10), (2, 0, 10, 10), (1, 4, 4)])
+def test_block_entropies_rejects_bad_noise_var_first(noise_var, shape):
+    # Checked before any array work: also with no frames, and before the size check.
+    with pytest.raises(ValueError, match=re.escape(
+            f"noise variance must be finite and > 0, got {noise_var}")):
+        block_entropies(np.zeros(shape), noise_var)
+
+
 def _field(values):
     values = np.asarray(values, dtype=np.float64)
     return EntropyField(values, np.full(values.shape[0], 2.0))

@@ -1,5 +1,6 @@
 """Invariants of pooling, frame dropping and self-scoring, checked as properties."""
 
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import convolve1d
 
+from stgreed import ggd
 from stgreed.bandpass import (_MS_WINDOW_1D, WAVELETS, build_packet_filters, spatial_ms,
                               temporal_filter)
 from stgreed.features import GreedConfig, block_entropies, compute_features
@@ -216,3 +218,86 @@ def test_block_entropies_of_a_stack_equal_separate_calls(b, t, h, w, patch, seed
         want = block_entropies(stack[i], 0.1, patch)
         assert np.array_equal(got.values[i], want.values)
         assert np.array_equal(got.frame_betas[i], want.frame_betas)
+
+
+def _patch_variances_by_reshape(frames, patch):
+    """The reshape-and-mean patch variances that strided accumulation replaced."""
+    rows, cols = frames.shape[-2] // patch, frames.shape[-1] // patch
+    blocks = frames[..., :rows * patch, :cols * patch].reshape(-1, rows, patch, cols, patch)
+    mean = blocks.mean(axis=(2, 4))
+    sq = (blocks * blocks).mean(axis=(2, 4))
+    return (sq - mean * mean).reshape(*frames.shape[:-2], rows * cols)
+
+
+def _block_entropies_frame_by_frame(frames, noise_var, patch_size):
+    """block_entropies with the scalar β loop over frames that the batched bisection replaced."""
+    var_p = _patch_variances_by_reshape(frames, patch_size)
+    sq = frames - frames.mean(axis=(-2, -1), keepdims=True)
+    m2 = np.square(sq, out=sq).mean(axis=(-2, -1))
+    m4 = np.square(sq, out=sq).mean(axis=(-2, -1))
+    betas, scale, h_unit = np.empty((3, *m2.shape))
+    for i in np.ndindex(m2.shape):
+        kurt = m4[i] / (m2[i] * m2[i]) if m2[i] > 0 else 0.0
+        _, kurt = ggd.noisy_moments(m2[i], kurt, noise_var)
+        betas[i] = ggd.beta_from_kurtosis(kurt)
+        scale[i] = ggd.alpha_from_sigma_beta(1.0, betas[i])
+        h_unit[i] = ggd.ggd_entropy(1.0, betas[i])
+    sigma = np.sqrt(var_p + noise_var)
+    alpha = sigma * scale[..., None]
+    h = h_unit[..., None] + np.log(alpha)
+    gamma = np.log1p(var_p + noise_var)
+    return gamma * h, betas
+
+
+@_SETTINGS
+@given(st.integers(1, 3), st.integers(0, 6), st.integers(1, 30), st.integers(1, 30),
+       st.integers(1, 10), st.sampled_from([1e-6, 0.1, 3.0, 100.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_block_entropies_equal_the_frame_by_frame_loop(b, t, h, w, patch, noise_var, seed):
+    # Bit for bit at every patch size: the strided sums follow numpy's
+    # pairwise order, also in one-patch-wide frames and past 8 terms.
+    assume(h >= patch and w >= patch)
+    rng = np.random.default_rng(seed)
+    # Heavy- and light-tailed frames of varied spread, flat frames, and offsets.
+    stack = rng.standard_t(rng.uniform(2.1, 30.0, size=(b, t, 1, 1)), size=(b, t, h, w))
+    stack *= rng.choice([0.0, 1e-3, 1.0, 40.0], size=(b, t, 1, 1))
+    stack += rng.choice([0.0, 128.3], size=(b, t, 1, 1))
+    got = block_entropies(stack, noise_var, patch)
+    values, betas = _block_entropies_frame_by_frame(stack, noise_var, patch)
+    assert np.array_equal(got.values, values)
+    assert np.array_equal(got.frame_betas, betas)
+
+
+_KURTOSES = st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(1.5, 400.0),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 3.0, 6.0,
+                     ggd._KURT_AT_MIN, ggd._KURT_AT_MAX,
+                     math.nextafter(ggd._KURT_AT_MIN, 0), math.nextafter(ggd._KURT_AT_MIN, math.inf),
+                     math.nextafter(ggd._KURT_AT_MAX, 0), math.nextafter(ggd._KURT_AT_MAX, math.inf)]))
+
+
+@_SETTINGS
+@given(st.lists(_KURTOSES, max_size=60), st.sampled_from([(-1,), (-1, 1), (1, -1, 1)]))
+def test_beta_from_kurtosis_on_an_array_equals_scalar_calls(kurtoses, shape):
+    kappa = np.array(kurtoses, dtype=np.float64).reshape(shape)
+    got = ggd.beta_from_kurtosis(kappa)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == kappa.shape
+    want = [ggd.beta_from_kurtosis(k) for k in kurtoses]
+    assert all(type(beta) is float for beta in want)
+    assert [g.hex() for g in got.ravel().tolist()] == [w.hex() for w in want]
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3)])
+def test_beta_from_kurtosis_of_an_empty_array_is_empty(shape):
+    got = ggd.beta_from_kurtosis(np.empty(shape))
+    assert got.shape == shape and got.dtype == np.float64
+
+
+@_SETTINGS
+@given(st.lists(st.floats(1.5, 400.0), min_size=1, max_size=20), st.data())
+def test_beta_from_kurtosis_rejects_a_nan_anywhere_in_an_array(kurtoses, data):
+    kurtoses[data.draw(st.integers(0, len(kurtoses) - 1), label="nan at")] = math.nan
+    with pytest.raises(ValueError, match="^kurtosis is NaN$"):
+        ggd.beta_from_kurtosis(np.array(kurtoses))
