@@ -133,12 +133,14 @@ def cmd_eval(args):
 
 
 def cmd_histdump(args):
+    GreedConfig(wavelet=args.wavelet, levels=args.levels)  # checks both before decoding
+    n_bands = 2 ** args.levels - 1
+    if not 1 <= args.band <= n_bands:
+        raise ValueError(f"band must be in [1, {n_bands}]")
     video = _load_video(args.input, args)
     check_bank_fits(args.wavelet, args.levels, video.num_frames)
     video = downsample(video, args.scale)
     bank = build_packet_filters(args.wavelet, args.levels)
-    if not 1 <= args.band <= len(bank.filters):
-        raise ValueError(f"band must be in [1, {len(bank.filters)}]")
     coeffs = temporal_filter(video.frames, bank.filters[args.band - 1]).coeffs
     centers, density = evaluate.dump_histogram(coeffs, args.bins)
     sys.stdout.write(evaluate.format_histogram(centers, density))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from .svr import grid_search, predict, train_svr
+from .video import _as_fraction
 
 
 @dataclass(frozen=True)
@@ -222,10 +223,10 @@ def read_manifest(path):
                 raise ValueError(f"{where}: manifest row has too few fields")
             try:
                 row = DatasetRow(r["content_id"], r["ref"], r["dist"],
-                                 Fraction(r["fps"]), r["tag"], float(r["dmos"]))
+                                 _as_fraction(r["fps"]), r["tag"], float(r["dmos"]))
                 if not np.isfinite(row.dmos):
                     raise ValueError(f"dmos must be finite, got {r['dmos']!r}")
-            except (ValueError, ZeroDivisionError) as e:
+            except ValueError as e:
                 raise ValueError(f"{where}: bad manifest row: {e}") from e
             rows.append(row)
     if not rows:

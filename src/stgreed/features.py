@@ -210,7 +210,8 @@ def compute_features(ref, dist, config=None, jobs=1):
 
     Per scale, computes the pooled spatial index and one pooled temporal
     index per subband, concatenated in scale order with the spatial value
-    first. Each video is pooled once from full resolution; the pseudo
+    first. Each video is pooled to the lowest scale exponent from full
+    resolution and to each higher one from the scale before it; the pseudo
     reference is the frame-dropped pooled reference (frame dropping and
     spatial pooling commute). The reference's pooled frames and entropy
     tables are kept with the reference object, so later calls with the same

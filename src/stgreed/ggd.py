@@ -29,45 +29,21 @@ def beta_from_kurtosis(kappa):
 
     Kurtosis is strictly decreasing in beta, so bisection is exact to the
     requested relative tolerance (1e-6). A scalar gives a float; an ndarray
-    gives a float64 array of its shape, each element equal to the scalar
-    call's.
+    gives a float64 array of its shape.
+
+    The bisection runs lane-wise. Every lane starts from [BETA_MIN,
+    BETA_MAX], so lanes that have taken the same branches hold the same
+    midpoint; its kurtosis is computed once per depth, with math.gamma and
+    float ** as in ggd_kurtosis. A lane leaves with the midpoint once its
+    interval is spent or its kurtosis is close enough.
     """
-    if isinstance(kappa, np.ndarray):
-        return _betas_from_kurtoses(kappa.astype(np.float64, copy=False))
-    if math.isnan(kappa):
+    kappas = np.asarray(kappa, dtype=np.float64)
+    if np.isnan(kappas).any():
         raise ValueError("kurtosis is NaN")
-    if kappa >= _KURT_AT_MIN:
-        return BETA_MIN
-    if kappa <= _KURT_AT_MAX:
-        return BETA_MAX
-    lo, hi = BETA_MIN, BETA_MAX  # kurt(lo) > kappa > kurt(hi)
-    while (hi - lo) > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        k_mid = ggd_kurtosis(mid)
-        if abs(k_mid - kappa) <= 1e-6 * kappa:
-            return mid
-        if k_mid > kappa:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _betas_from_kurtoses(kappa):
-    """The scalar bisection run lane-wise over an array, bit for bit.
-
-    Every lane starts from [BETA_MIN, BETA_MAX], so lanes that have taken the
-    same branches hold the same midpoint; its kurtosis is computed once per
-    depth, with math.gamma and float ** as in ggd_kurtosis. A lane leaves on
-    either of the scalar loop's exits, a spent interval or a close enough
-    kurtosis; both return the midpoint, so their order does not matter.
-    """
-    if np.isnan(kappa).any():
-        raise ValueError("kurtosis is NaN")
-    beta = np.where(kappa >= _KURT_AT_MIN, BETA_MIN, BETA_MAX)
+    beta = np.where(kappas >= _KURT_AT_MIN, BETA_MIN, BETA_MAX)
     out = beta.reshape(-1)  # a view: np.where returns a new contiguous array
-    lanes = np.flatnonzero((kappa < _KURT_AT_MIN) & (kappa > _KURT_AT_MAX))
-    k = kappa.reshape(-1)[lanes]
+    lanes = np.flatnonzero((kappas < _KURT_AT_MIN) & (kappas > _KURT_AT_MAX))
+    k = kappas.reshape(-1)[lanes]
     lo, hi = np.full(k.shape, BETA_MIN), np.full(k.shape, BETA_MAX)
     while lanes.size:
         mid = 0.5 * (lo + hi)
@@ -79,7 +55,7 @@ def _betas_from_kurtoses(kappa):
         go_up, on = k_mid > k, ~done
         lo, hi = np.where(go_up, mid, lo)[on], np.where(go_up, hi, mid)[on]
         lanes, k = lanes[on], k[on]
-    return beta
+    return beta if isinstance(kappa, np.ndarray) else float(beta)
 
 
 def check_noise_var(noise_var):

@@ -1,7 +1,10 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from stgreed.ggd import _KURT_AT_MAX, _KURT_AT_MIN, BETA_MAX, BETA_MIN, ggd_kurtosis
 
 _TESTS = Path(__file__).parent
 
@@ -28,6 +31,31 @@ def sample_ggd(rng, alpha, beta, size):
     g = rng.gamma(shape=1.0 / beta, scale=1.0, size=size)
     signs = rng.choice([-1.0, 1.0], size=size)
     return signs * alpha * g ** (1.0 / beta)
+
+
+def scalar_beta_from_kurtosis(kappa):
+    """The scalar bisection that the lane-wise ggd.beta_from_kurtosis replaced.
+
+    Kept as the oracle: ggd.beta_from_kurtosis must give this float, bit for
+    bit, for every element.
+    """
+    if math.isnan(kappa):
+        raise ValueError("kurtosis is NaN")
+    if kappa >= _KURT_AT_MIN:
+        return BETA_MIN
+    if kappa <= _KURT_AT_MAX:
+        return BETA_MAX
+    lo, hi = BETA_MIN, BETA_MAX  # kurt(lo) > kappa > kurt(hi)
+    while (hi - lo) > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        k_mid = ggd_kurtosis(mid)
+        if abs(k_mid - kappa) <= 1e-6 * kappa:
+            return mid
+        if k_mid > kappa:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def write_y4m(path, frames, fps_num=30, fps_den=1, chroma="420"):

@@ -348,13 +348,17 @@ _FINITE_VALUES = ("cache.jsonl:1: cache record's values must be a non-empty list
     ("cache", _cache_line(values=[0.5] * 17),
      "cache.jsonl:2: cache record has 16 values, but the record on line 1 has 17"),
     ("manifest", "c,a,b", "manifest.csv:2: manifest row has too few fields"),
-    ("manifest", "c,a,b,1/0,v,3", "manifest.csv:2: bad manifest row"),
+    ("manifest", "c,a,b,1/0,v,3", "manifest.csv:2: bad manifest row: invalid fps '1/0'"),
+    ("manifest", "c,a,b,0,v,3", "manifest.csv:2: bad manifest row: fps must be positive, got 0"),
+    ("manifest", "c,a,b,-30,v,3",
+     "manifest.csv:2: bad manifest row: fps must be positive, got -30"),
     ("manifest", "c,a,b,30,v,nan", "manifest.csv:2: bad manifest row: dmos must be finite"),
 ], ids=["cache-missing-fields", "cache-not-an-object", "cache-list-ref", "cache-int-dist",
         "cache-nested-values", "cache-string-values", "cache-scalar-values",
         "cache-nan-values", "cache-infinity-values", "cache-huge-int-values",
         "cache-17-values",
-        "manifest-short-row", "manifest-zero-fps", "manifest-nan-dmos"])
+        "manifest-short-row", "manifest-zero-fps", "manifest-fps-0", "manifest-negative-fps",
+        "manifest-nan-dmos"])
 def test_malformed_dataset_file_exits_2(tmp_path, rng, capsys, cmd, bad_file, line, error):
     manifest, cache = _write_dataset(tmp_path, rng, n_contents=3, per_content=2)
     path = Path(manifest if bad_file == "manifest" else cache)
@@ -468,6 +472,16 @@ def test_histdump_band_out_of_range(tmp_path, rng, capsys):
     rc = main(["histdump", str(path), "--scale", "1", "--band", "8"])
     assert rc == 2
     assert "band" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, error", [
+    (["--band", "9"], "band must be in [1, 7]"),
+    (["--levels", "2"], "band must be in [1, 3]"),  # the default --band 4
+    (["--levels", "0"], "levels must be >= 1"),
+], ids=["band-9", "levels-2-default-band-4", "levels-0"])
+def test_histdump_checks_band_and_levels_before_decoding(tmp_path, capsys, extra, error):
+    assert main(["histdump", str(tmp_path / "missing.y4m"), *extra]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("cmd", ["features", "score", "train", "eval", "histdump"])

@@ -22,6 +22,8 @@ from stgreed.features import (EntropyField, GreedConfig, average_reference_entro
                               compute_features)
 from stgreed.video import LumaVideo
 
+from conftest import scalar_beta_from_kurtosis
+
 
 def _halve_repeatedly(frames, s):
     for _ in range(s):
@@ -52,7 +54,7 @@ def _block_entropies_per_frame(frames, noise_var, patch):
     rows, cols = frames.shape[1] // patch, frames.shape[2] // patch
     for t in range(frames.shape[0]):
         kurt = m4[t] / (m2[t] * m2[t]) if m2[t] > 0 else 0.0
-        beta = ggd.beta_from_kurtosis(ggd.noisy_moments(m2[t], kurt, noise_var)[1])
+        beta = scalar_beta_from_kurtosis(ggd.noisy_moments(m2[t], kurt, noise_var)[1])
         betas.append(beta)
         blocks = frames[t, :rows * patch, :cols * patch].reshape(rows, patch, cols, patch)
         mean = blocks.mean(axis=(1, 3))

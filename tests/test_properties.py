@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import convolve1d
 
@@ -17,6 +17,8 @@ from stgreed.bandpass import (_MS_WINDOW_1D, WAVELETS, build_packet_filters, spa
 from stgreed.features import GreedConfig, block_entropies, compute_features
 from stgreed.video import (LumaVideo, downsample, kept_indices, load_y4m,
                            make_pseudo_reference, save_y4m)
+
+from conftest import scalar_beta_from_kurtosis
 
 _SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -239,7 +241,7 @@ def _block_entropies_frame_by_frame(frames, noise_var, patch_size):
     for i in np.ndindex(m2.shape):
         kurt = m4[i] / (m2[i] * m2[i]) if m2[i] > 0 else 0.0
         _, kurt = ggd.noisy_moments(m2[i], kurt, noise_var)
-        betas[i] = ggd.beta_from_kurtosis(kurt)
+        betas[i] = scalar_beta_from_kurtosis(kurt)
         scale[i] = ggd.alpha_from_sigma_beta(1.0, betas[i])
         h_unit[i] = ggd.ggd_entropy(1.0, betas[i])
     sigma = np.sqrt(var_p + noise_var)
@@ -251,11 +253,13 @@ def _block_entropies_frame_by_frame(frames, noise_var, patch_size):
 
 @_SETTINGS
 @given(st.integers(1, 3), st.integers(0, 6), st.integers(1, 30), st.integers(1, 30),
-       st.integers(1, 10), st.sampled_from([1e-6, 0.1, 3.0, 100.0]),
+       st.integers(1, 12), st.sampled_from([1e-6, 0.1, 3.0, 100.0]),
        st.integers(0, 2 ** 32 - 1))
+@example(2, 3, 23, 12, 12, 0.1, 7)  # one patch wide: 144 views in one pairwise run
 def test_block_entropies_equal_the_frame_by_frame_loop(b, t, h, w, patch, noise_var, seed):
     # Bit for bit at every patch size: the strided sums follow numpy's
-    # pairwise order, also in one-patch-wide frames and past 8 terms.
+    # pairwise order, also in one-patch-wide frames, past 8 terms and, at
+    # patch 12, past the 128 terms where the pairwise sum halves.
     assume(h >= patch and w >= patch)
     rng = np.random.default_rng(seed)
     # Heavy- and light-tailed frames of varied spread, flat frames, and offsets.
@@ -268,13 +272,12 @@ def test_block_entropies_equal_the_frame_by_frame_loop(b, t, h, w, patch, noise_
     assert np.array_equal(got.frame_betas, betas)
 
 
-_KURTOSES = st.one_of(
-    st.floats(allow_nan=False),
-    st.floats(1.5, 400.0),
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 3.0, 6.0,
-                     ggd._KURT_AT_MIN, ggd._KURT_AT_MAX,
-                     math.nextafter(ggd._KURT_AT_MIN, 0), math.nextafter(ggd._KURT_AT_MIN, math.inf),
-                     math.nextafter(ggd._KURT_AT_MAX, 0), math.nextafter(ggd._KURT_AT_MAX, math.inf)]))
+_EDGE_KURTOSES = [0.0, -0.0, math.inf, -math.inf, 3.0, 6.0,
+                  ggd._KURT_AT_MIN, ggd._KURT_AT_MAX,
+                  math.nextafter(ggd._KURT_AT_MIN, 0), math.nextafter(ggd._KURT_AT_MIN, math.inf),
+                  math.nextafter(ggd._KURT_AT_MAX, 0), math.nextafter(ggd._KURT_AT_MAX, math.inf)]
+_KURTOSES = st.one_of(st.floats(allow_nan=False), st.floats(1.5, 400.0),
+                      st.sampled_from(_EDGE_KURTOSES))
 
 
 @_SETTINGS
@@ -284,9 +287,21 @@ def test_beta_from_kurtosis_on_an_array_equals_scalar_calls(kurtoses, shape):
     got = ggd.beta_from_kurtosis(kappa)
     assert isinstance(got, np.ndarray) and got.dtype == np.float64
     assert got.shape == kappa.shape
-    want = [ggd.beta_from_kurtosis(k) for k in kurtoses]
-    assert all(type(beta) is float for beta in want)
-    assert [g.hex() for g in got.ravel().tolist()] == [w.hex() for w in want]
+    want = [scalar_beta_from_kurtosis(k).hex() for k in kurtoses]
+    assert [g.hex() for g in got.ravel().tolist()] == want
+
+
+@pytest.mark.parametrize("kappa", [*_EDGE_KURTOSES, 0, -30, 3, 6, 400, 10 ** 6, 4.5, 1e-300])
+def test_beta_from_kurtosis_keeps_the_scalar_return_types(kappa):
+    # One path for every input: a scalar still gives a float, a 0-d array a
+    # 0-d array, both the oracle's value.
+    want = scalar_beta_from_kurtosis(kappa).hex()
+    for scalar in (kappa, np.float64(kappa)):
+        got = ggd.beta_from_kurtosis(scalar)
+        assert type(got) is float and got.hex() == want
+    got = ggd.beta_from_kurtosis(np.array(kappa))
+    assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == np.float64
+    assert float(got).hex() == want
 
 
 @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3)])
