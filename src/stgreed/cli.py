@@ -133,10 +133,13 @@ def cmd_eval(args):
 
 
 def cmd_histdump(args):
-    GreedConfig(wavelet=args.wavelet, levels=args.levels)  # checks both before decoding
+    # A bad wavelet, level count or scale is rejected before decoding.
+    GreedConfig(wavelet=args.wavelet, levels=args.levels, scales=(args.scale,))
     n_bands = 2 ** args.levels - 1
     if not 1 <= args.band <= n_bands:
         raise ValueError(f"band must be in [1, {n_bands}]")
+    if args.bins < 2:
+        raise ValueError("need at least 2 bins")
     video = _load_video(args.input, args)
     check_bank_fits(args.wavelet, args.levels, video.num_frames)
     video = downsample(video, args.scale)

@@ -249,20 +249,28 @@ def split_contents(contents, rng):
     return train, val, test
 
 
-def _gather(rows, features, subset):
-    X, y = [], []
-    for row in rows:
-        if row.content_id in subset:
-            X.append(features[(row.ref, row.dist)]["values"])
-            y.append(row.dmos)
-    return np.array(X), np.array(y)
-
-
-def _check_complete(rows, features):
+def _table(rows, features):
+    """Content ids, feature matrix and DMOS of every manifest row, in manifest order."""
     missing = [(r.ref, r.dist) for r in rows if (r.ref, r.dist) not in features]
     if missing:
         listing = "\n".join(f"  {ref} / {dist}" for ref, dist in missing)
         raise ValueError(f"missing cached features for {len(missing)} pairs:\n{listing}")
+    return ([r.content_id for r in rows],
+            np.array([features[(r.ref, r.dist)]["values"] for r in rows]),
+            np.array([r.dmos for r in rows]))
+
+
+def _masks(ids, where, **parts):
+    """One row mask per named content subset, in manifest order."""
+    masks = []
+    for name, part in parts.items():
+        # Not np.isin: a numpy str array drops trailing NULs, merging "a" and "a\0".
+        masks.append(np.array([c in part for c in ids]))
+        # An SVR fit and grid_search's validation srocc need 2 rows, plcc_rmse 5.
+        n, need = np.count_nonzero(masks[-1]), 5 if name == "test" else 2
+        if n < need:
+            raise ValueError(f"{where}: {name} split has {n} rows, needs at least {need}")
+    return masks
 
 
 def train_model(rows, features, seed=0, grid=None, fingerprint=""):
@@ -271,15 +279,26 @@ def train_model(rows, features, seed=0, grid=None, fingerprint=""):
     The split is split_contents under default_rng([seed, 0]); the grid
     search trains on its train and test parts and scores on validation.
     """
-    _check_complete(rows, features)
+    ids, X, y = _table(rows, features)
     contents = sorted({r.content_id for r in rows})
     if len(contents) < 3:
         raise ValueError("need at least 3 contents to tune hyperparameters")
     train, val, test = split_contents(contents, np.random.default_rng([seed, 0]))
-    hp = grid_search(_gather(rows, features, train | test),
-                     _gather(rows, features, val), grid)
-    X, y = _gather(rows, features, set(contents))
+    fit, val = _masks(ids, "tuning split", training=train | test, validation=val)
+    hp = grid_search((X[fit], y[fit]), (X[val], y[val]), grid)
     return train_svr(X, y, hp, fingerprint=fingerprint)
+
+
+def _trial(X, y, masks, grid):
+    """Grid search on validation, fit on training, score the test rows."""
+    train, val, test = masks
+    hp = grid_search((X[train], y[train]), (X[val], y[val]), grid)
+    model = train_svr(X[train], y[train], hp)
+    pred = predict(model, X[test])
+    s, k, fit = srocc(pred, y[test]), krocc(pred, y[test]), plcc_rmse(pred, y[test])
+    return {"srocc": s, "krocc": k, "plcc": fit.plcc, "rmse": fit.rmse,
+            "hyperparams": model.hyperparams, "smo_iterations": model.smo[0],
+            "smo_converged": model.smo[1], "logistic_converged": fit.converged}
 
 
 def run_protocol(rows, features, trials=200, seed=0, grid=None):
@@ -288,6 +307,7 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
     Per trial: grid search on the validation set, train on the training set,
     metrics on the test set with the logistic refit per trial. Deterministic
     for a fixed seed; trial RNG streams derive from (seed, trial_index).
+    Every split is drawn before the first fit; one too small raises ValueError.
     per_trial also records each trial's chosen (C, epsilon, kernel_gamma),
     the SMO iterations of its final fit and whether that solve converged,
     and whether its logistic fit converged.
@@ -297,39 +317,18 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
     contents = sorted({r.content_id for r in rows})
     if len(contents) < 3:
         raise ValueError(f"need at least 3 contents, got {len(contents)}")
-    _check_complete(rows, features)
+    ids, X, y = _table(rows, features)
+    splits = [split_contents(contents, np.random.default_rng([seed, t])) for t in range(trials)]
+    masks = [_masks(ids, f"trial {t}", training=train, validation=val, test=test)
+             for t, (train, val, test) in enumerate(splits)]
+    records = [_trial(X, y, m, grid) for m in masks]
+    per_trial = {key: [r[key] for r in records] for key in records[0]}
 
-    per_trial = {"srocc": [], "krocc": [], "plcc": [], "rmse": [],
-                 "hyperparams": [], "smo_iterations": [], "smo_converged": [],
-                 "logistic_converged": []}
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        train, val, test = split_contents(contents, rng)
-        X_tr, y_tr = _gather(rows, features, train)
-        X_val, y_val = _gather(rows, features, val)
-        X_te, y_te = _gather(rows, features, test)
-
-        hp = grid_search((X_tr, y_tr), (X_val, y_val), grid)
-        model = train_svr(X_tr, y_tr, hp)
-        pred = predict(model, X_te)
-
-        per_trial["srocc"].append(srocc(pred, y_te))
-        per_trial["krocc"].append(krocc(pred, y_te))
-        fit = plcc_rmse(pred, y_te)
-        per_trial["plcc"].append(fit.plcc)
-        per_trial["rmse"].append(fit.rmse)
-        per_trial["hyperparams"].append(model.hyperparams)
-        per_trial["smo_iterations"].append(model.smo[0])
-        per_trial["smo_converged"].append(model.smo[1])
-        per_trial["logistic_converged"].append(fit.converged)
-
-    def med(vals):
-        vals = [v for v in vals if v is not None]
+    def med(key):
+        vals = [v for v in per_trial[key] if v is not None]
         return float(np.median(vals)) if vals else None
 
-    return EvalReport(med(per_trial["srocc"]), med(per_trial["krocc"]),
-                      med(per_trial["plcc"]), med(per_trial["rmse"]),
-                      trials, per_trial)
+    return EvalReport(med("srocc"), med("krocc"), med("plcc"), med("rmse"), trials, per_trial)
 
 
 def hfr_vmaf(vmaf_of_pr_dist, greed_score):

@@ -314,6 +314,25 @@ def test_train_and_eval_smoke(tmp_path, rng, capsys):
     assert len(report["per_trial"]["srocc"]) == 2
 
 
+@pytest.mark.parametrize("cmd, n_contents, per_content, error", [
+    # One content of 2 or 4 versions is each trial's test split, too few
+    # rows for the logistic fit.
+    ("eval", 3, 2, "trial 0: test split has 2 rows, needs at least 5"),
+    ("eval", 3, 4, "trial 0: test split has 4 rows, needs at least 5"),
+    # Six single-version contents leave one validation row.
+    ("eval", 6, 1, "trial 0: validation split has 1 rows, needs at least 2"),
+    ("train", 6, 1, "tuning split: validation split has 1 rows, needs at least 2"),
+], ids=["eval-3x2", "eval-3x4", "eval-6x1", "train-6x1"])
+def test_small_splits_exit_2_naming_the_split(tmp_path, rng, capsys, cmd, n_contents,
+                                              per_content, error):
+    manifest, cache = _write_dataset(tmp_path, rng, n_contents, per_content)
+    argv = [cmd, "--manifest", manifest, "--cache", cache]
+    if cmd == "train":
+        argv += ["--out", str(tmp_path / "model.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_eval_empty_manifest_exits_2(tmp_path, capsys):
     manifest = tmp_path / "m.csv"
     manifest.write_text("content_id,ref,dist,fps,tag,dmos\n")
@@ -478,7 +497,9 @@ def test_histdump_band_out_of_range(tmp_path, rng, capsys):
     (["--band", "9"], "band must be in [1, 7]"),
     (["--levels", "2"], "band must be in [1, 3]"),  # the default --band 4
     (["--levels", "0"], "levels must be >= 1"),
-], ids=["band-9", "levels-2-default-band-4", "levels-0"])
+    (["--scale", "-1"], "scale exponent must be >= 0"),
+    (["--bins", "1"], "need at least 2 bins"),
+], ids=["band-9", "levels-2-default-band-4", "levels-0", "scale--1", "bins-1"])
 def test_histdump_checks_band_and_levels_before_decoding(tmp_path, capsys, extra, error):
     assert main(["histdump", str(tmp_path / "missing.y4m"), *extra]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"

@@ -296,6 +296,13 @@ def test_format_histogram():
     assert lines == ["-0.5\t0.25", "0.5\t0.75"]
 
 
+def _gather(rows, features, subset):
+    """The rows of the contents in subset as (X, y), in manifest order."""
+    picked = [r for r in rows if r.content_id in subset]
+    return (np.array([features[(r.ref, r.dist)]["values"] for r in picked]),
+            np.array([r.dmos for r in picked]))
+
+
 def test_train_model_matches_split_grid_search_and_fit(rng):
     rows, features = _synthetic_dataset(rng, n_contents=8, per_content=5)
     # At seed 1 this grid picks a different point if the split's test part
@@ -304,19 +311,48 @@ def test_train_model_matches_split_grid_search_and_fit(rng):
     grid = [(C, 0.1, 2.0 ** e) for C in (1.0, 10.0, 100.0) for e in (-6, -4, -2, 0)]
     model = train_model(rows, features, seed=1, grid=grid, fingerprint="f00d")
 
-    def gather(subset):
-        picked = [r for r in rows if r.content_id in subset]
-        return (np.array([features[(r.ref, r.dist)]["values"] for r in picked]),
-                np.array([r.dmos for r in picked]))
-
     contents = sorted({r.content_id for r in rows})
     train, val, test = split_contents(contents, np.random.default_rng([1, 0]))
-    hp = grid_search(gather(train | test), gather(val), grid)
-    X, y = gather(set(contents))
+    hp = grid_search(_gather(rows, features, train | test), _gather(rows, features, val), grid)
+    X, y = _gather(rows, features, set(contents))
     expect = train_svr(X, y, hp, fingerprint="f00d")
     assert model.hyperparams == expect.hyperparams
     assert model.fingerprint == "f00d"
     np.testing.assert_array_equal(predict(model, X), predict(expect, X))
+
+
+def test_run_protocol_matches_trials_recomputed_by_hand(rng):
+    # Uneven versions per content, with the manifest's rows shuffled so that
+    # contents interleave: each split's rows must reach the fits in manifest
+    # order for every entry to come out equal. The last content's id is the
+    # first's with a trailing NUL, and the two must stay apart.
+    rows, features = [], {}
+    for c, versions in enumerate((5, 7, 6, 9, 5, 8, 6, 10)):
+        content = "c00\0" if c == 7 else f"c{c:02d}"
+        for k in range(versions):
+            x = rng.normal(size=16)
+            ref, dist = f"r{c}.y4m", f"d{c}_{k}.y4m"
+            rows.append(DatasetRow(content, ref, dist, Fraction(30), f"v{k}",
+                                   20.0 + 6.0 * x[0] + 2.0 * x[3] + rng.normal(0, 2.0)))
+            features[(ref, dist)] = {"values": x}
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    grid = [(C, 0.1, 2.0 ** e) for C in (1.0, 100.0) for e in (-4, -2)]
+    per_trial = run_protocol(rows, features, trials=2, seed=11, grid=grid).per_trial
+
+    contents = sorted({r.content_id for r in rows})
+    for trial in range(2):
+        train, val, test = split_contents(contents, np.random.default_rng([11, trial]))
+        (X_tr, y_tr), (X_te, y_te) = _gather(rows, features, train), _gather(rows, features, test)
+        hp = grid_search((X_tr, y_tr), _gather(rows, features, val), grid)
+        model = train_svr(X_tr, y_tr, hp)
+        pred = predict(model, X_te)
+        fit = plcc_rmse(pred, y_te)
+        want = {"srocc": srocc(pred, y_te), "krocc": krocc(pred, y_te),
+                "plcc": fit.plcc, "rmse": fit.rmse, "hyperparams": model.hyperparams,
+                "smo_iterations": model.smo[0], "smo_converged": model.smo[1],
+                "logistic_converged": fit.converged}
+        assert {key: values[trial] for key, values in per_trial.items()} == want
+    assert list(per_trial) == list(want)
 
 
 def test_train_model_needs_three_contents(rng):
