@@ -162,29 +162,94 @@ def predict(model, x):
     return float(out[0]) if single else out
 
 
-def grid_search(train_xy, val_xy, grid=None):
-    """Pick the (C, epsilon, kernel_gamma) maximizing validation rank correlation.
+def _check_jobs(jobs):
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
-    Ties break toward smaller C, then larger epsilon.
+
+def _grid_point(fits, k):
+    """Fit grid point k on the shared training rows; returns (k, its key).
+
+    fits is (dist, Xn, y, shift, scale, X_val, y_val, points, kernel), and
+    kernel holds exp(-gamma * dist) for the last gamma this process fitted.
     """
     from .evaluate import srocc
 
+    dist, Xn, y, shift, scale, X_val, y_val, points, kernel = fits
+    C, epsilon, gamma = hp = points[k]
+    if gamma not in kernel:
+        kernel.clear()  # free the last gamma's kernel before building this one
+        kernel[gamma] = np.exp(-gamma * dist)
+    score = srocc(predict(_fit(kernel[gamma], Xn, y, shift, scale, hp), X_val), y_val)
+    return k, (-np.inf if score is None else score, -C, epsilon)
+
+
+_worker_fits = None  # a pool worker's grid_search arguments, set at its start
+
+
+def _init_worker(fits):
+    global _worker_fits
+    _worker_fits = fits
+
+
+def _pooled_grid_point(k):
+    return _grid_point(_worker_fits, k)
+
+
+def _fit_points(fits, order, jobs):
+    """Yield _grid_point's (k, key) for each k in order.
+
+    With jobs > 1 the fits run in that many forked processes, which inherit
+    fits instead of unpickling it. They run here where the platform cannot
+    fork, where this process is a pool's daemonic worker and may not start
+    one, and where another thread runs: a child holds only the forking
+    thread, so a lock another thread held would stay locked in it.
+    """
+    if jobs > 1:
+        # Not at module level: these add ~20 ms to `import stgreed`.
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon
+                and threading.active_count() == 1):
+            # A worker that dies mid-fit raises BrokenProcessPool here; a
+            # multiprocessing.Pool would wait for its result forever.
+            with ProcessPoolExecutor(jobs, multiprocessing.get_context("fork"),
+                                     initializer=_init_worker, initargs=(fits,)) as pool:
+                yield from pool.map(_pooled_grid_point, order)
+            return
+    for k in order:
+        yield _grid_point(fits, k)
+
+
+def grid_search(train_xy, val_xy, grid=None, jobs=None):
+    """Pick the (C, epsilon, kernel_gamma) maximizing validation rank correlation.
+
+    Ties break toward smaller C, then larger epsilon. jobs worker processes
+    fit the grid points, the slowest first; None means one per core this
+    process may run on (1 where the platform cannot tell), and no more than
+    the grid has points. The pick does not depend on jobs.
+    """
     grid = DEFAULT_GRID if grid is None else list(grid)
     if not grid:
         raise ValueError("empty hyperparameter grid")
+    _check_jobs(jobs)
+    if jobs is None:
+        import os
+        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     X_val, y_val = val_xy
     Xn, y, shift, scale = _standardize(*train_xy)
     # Every fit trains on the same rows: standardize them and take their
-    # squared distances once, then build one gamma's kernel at a time.
-    dist = _sq_dist(Xn, Xn)
+    # squared distances once. Small gamma, then large C, takes the most SMO
+    # steps: fit in that order, so that the last fit to finish is a short
+    # one and each process builds each gamma's kernel once, holding one.
     points = [tuple(float(v) for v in hp) for hp in grid]
+    fits = (_sq_dist(Xn, Xn), Xn, y, shift, scale, X_val, y_val, points, {})
+    order = sorted(range(len(points)), key=lambda k: (points[k][2], -points[k][0]))
     keys = [None] * len(grid)
-    for gamma in dict.fromkeys(hp[2] for hp in points):
-        K = np.exp(-gamma * dist)
-        for k, hp in enumerate(points):
-            if hp[2] == gamma:
-                score = srocc(predict(_fit(K, Xn, y, shift, scale, hp), X_val), y_val)
-                keys[k] = (-np.inf if score is None else score, -hp[0], hp[1])
+    for k, key in _fit_points(fits, order, min(jobs, len(points))):
+        keys[k] = key
     best = max(range(len(grid)), key=keys.__getitem__)  # the first entry of a full tie
     return tuple(grid[best])
 

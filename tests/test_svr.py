@@ -1,10 +1,17 @@
 import json
+import multiprocessing
+import subprocess
+import sys
+import types
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stgreed
 from stgreed.evaluate import srocc
 from stgreed.svr import (DEFAULT_GRID, _rbf, _solve_smo, grid_search, load_model,
                          predict, save_model, train_svr)
@@ -131,15 +138,79 @@ def _grid_keys(train_xy, val_xy, grid):
     (4, [(1.0, 0.1, 0.5), (10.0, 1.0, 2.0), (1.0, 2.0, 0.5), (1.0, 2.0, 0.5),
          (100.0, 0.1, 2.0), (1.0, 2.0, 0.125), (10.0, 2.0, 0.5)]),
 ], ids=["spread", "tied", "unordered"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_grid_search_picks_what_separate_fits_pick(seed, n_val, grid):
+@pytest.mark.parametrize("seed, jobs", [(s, j) for j in (2, 1) for s in (0, 1, 2)],
+                         ids=[f"{s}" for s in (0, 1, 2)] + [f"{s}-jobs1" for s in (0, 1, 2)])
+def test_grid_search_picks_what_separate_fits_pick(seed, jobs, n_val, grid):
+    # Two workers finish the fits out of grid order; the pick must not move.
     rng = np.random.default_rng(seed)
     train_xy, val_xy = _toy_problem(rng, n=40), _toy_problem(rng, n=n_val)
     keys = _grid_keys(train_xy, val_xy, grid)
     want = grid[max(range(len(grid)), key=keys.__getitem__)]
     if n_val == 4:
         assert len({k[0] for k in keys}) < len(grid)  # the case has tied scores
-    assert grid_search(train_xy, val_xy, grid) == tuple(want)
+    assert grid_search(train_xy, val_xy, grid, jobs=jobs) == tuple(want)
+
+
+def _no_process_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+
+
+def test_grid_search_forks_only_for_more_than_one_job(monkeypatch, rng):
+    train_xy, val_xy = _toy_problem(rng, n=30), _toy_problem(rng, n=10)
+    grid = DEFAULT_GRID[::7]
+    started, get_context = [], multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: started.append(method) or get_context(method))
+    want = grid_search(train_xy, val_xy, grid, jobs=2)
+    assert started == ["fork"]
+    _no_process_pool(monkeypatch)
+    assert grid_search(train_xy, val_xy, grid, jobs=1) == want
+
+
+@pytest.mark.parametrize("obstacle", ["no fork", "daemonic worker", "another thread"])
+def test_grid_search_fits_in_process_where_it_cannot_fork(monkeypatch, rng, obstacle):
+    train_xy, val_xy = _toy_problem(rng, n=30), _toy_problem(rng, n=10)
+    grid = DEFAULT_GRID[::7]
+    want = grid_search(train_xy, val_xy, grid, jobs=1)
+    _no_process_pool(monkeypatch)
+    if obstacle == "no fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    elif obstacle == "daemonic worker":
+        monkeypatch.setattr(multiprocessing, "current_process",
+                            lambda: types.SimpleNamespace(daemon=True))
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(grid_search, train_xy, val_xy, grid, jobs=2).result() == want
+        return
+    assert grid_search(train_xy, val_xy, grid, jobs=2) == want
+
+
+_DYING_WORKER = """
+import os
+import numpy as np
+from stgreed import svr
+fit = svr._grid_point
+svr._grid_point = lambda fits, k: os._exit(1) if k == 0 else fit(fits, k)
+X = np.random.default_rng(0).normal(size=(30, 4))
+svr.grid_search((X, X[:, 0]), (X, X[:, 0]), svr.DEFAULT_GRID[::7], jobs=2)
+"""
+
+
+def test_grid_search_raises_when_a_worker_dies():
+    # In a child with a timeout: a pool that lost the fit would wait forever.
+    proc = subprocess.run([sys.executable, "-c", _DYING_WORKER], capture_output=True, text=True,
+                          cwd=str(Path(stgreed.__file__).parents[1]), timeout=60)
+    assert proc.returncode == 1
+    assert "BrokenProcessPool" in proc.stderr
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_grid_search_rejects_jobs_below_one(rng, jobs):
+    X, y = _toy_problem(rng, n=10)
+    with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+        grid_search((X, y), (X, y), jobs=jobs)
 
 
 def test_model_round_trip(tmp_path, rng):
