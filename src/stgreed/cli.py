@@ -33,13 +33,6 @@ def _add_config_args(p):
                    help="wavelet packet decomposition depth")
 
 
-def _add_grid_jobs_arg(p):
-    # None is grid_search's own default: one worker per usable core.
-    p.add_argument("--jobs", type=int,
-                   help="grid-search worker processes (None: one per usable core); "
-                        "results do not depend on it")
-
-
 def _add_video_args(p):
     p.add_argument("--width", type=int, help="frame width (raw YUV inputs only)")
     p.add_argument("--height", type=int, help="frame height (raw YUV inputs only)")
@@ -114,7 +107,7 @@ def cmd_train(args):
     cfg = _config(args)
     rows, features = _load_dataset(args, cfg)
     model = evaluate.train_model(rows, features, seed=args.seed,
-                                 fingerprint=cfg.fingerprint(), jobs=args.jobs)
+                                 fingerprint=cfg.fingerprint())
     svr.save_model(model, args.out)
     C, eps, gamma = model.hyperparams
     print(f"trained on {len(rows)} rows, hyperparams C={C} eps={eps} gamma={gamma}")
@@ -125,8 +118,7 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = _config(args)
     rows, features = _load_dataset(args, cfg)
-    report = evaluate.run_protocol(rows, features, trials=args.trials, seed=args.seed,
-                                   jobs=args.jobs)
+    report = evaluate.run_protocol(rows, features, trials=args.trials, seed=args.seed)
     for name in ("srocc", "krocc", "plcc", "rmse"):
         value = getattr(report, name)
         print(f"{name.upper()}\t{'n/a' if value is None else f'{value:.4f}'}")
@@ -198,7 +190,6 @@ def build_parser():
     p.add_argument("--cache", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    _add_grid_jobs_arg(p)
     _add_config_args(p)
     p.set_defaults(func=cmd_train)
 
@@ -209,7 +200,6 @@ def build_parser():
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="also write a machine-readable report here")
-    _add_grid_jobs_arg(p)
     _add_config_args(p)
     p.set_defaults(func=cmd_eval)
 

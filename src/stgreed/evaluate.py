@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .svr import _check_jobs, grid_search, predict, train_svr
+from .svr import grid_search, predict, train_svr
 from .video import _as_fraction
 
 
@@ -273,34 +273,32 @@ def _masks(ids, where, **parts):
     return masks
 
 
-def _check_seed_and_jobs(seed, jobs):
+def _check_seed(seed):
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    _check_jobs(jobs)
 
 
-def train_model(rows, features, seed=0, grid=None, fingerprint="", jobs=None):
+def train_model(rows, features, seed=0, grid=None, fingerprint=""):
     """Tune (C, epsilon, kernel_gamma) on one content split, then fit every row.
 
     The split is split_contents under default_rng([seed, 0]); the grid
-    search trains on its train and test parts and scores on validation,
-    in grid_search's jobs worker processes.
+    search trains on its train and test parts and scores on validation.
     """
-    _check_seed_and_jobs(seed, jobs)
+    _check_seed(seed)
     ids, X, y = _table(rows, features)
     contents = sorted({r.content_id for r in rows})
     if len(contents) < 3:
         raise ValueError("need at least 3 contents to tune hyperparameters")
     train, val, test = split_contents(contents, np.random.default_rng([seed, 0]))
     fit, val = _masks(ids, "tuning split", training=train | test, validation=val)
-    hp = grid_search((X[fit], y[fit]), (X[val], y[val]), grid, jobs)
+    hp = grid_search((X[fit], y[fit]), (X[val], y[val]), grid)
     return train_svr(X, y, hp, fingerprint=fingerprint)
 
 
-def _trial(X, y, masks, grid, jobs):
+def _trial(X, y, masks, grid):
     """Grid search on validation, fit on training, score the test rows."""
     train, val, test = masks
-    hp = grid_search((X[train], y[train]), (X[val], y[val]), grid, jobs)
+    hp = grid_search((X[train], y[train]), (X[val], y[val]), grid)
     model = train_svr(X[train], y[train], hp)
     pred = predict(model, X[test])
     s, k, fit = srocc(pred, y[test]), krocc(pred, y[test]), plcc_rmse(pred, y[test])
@@ -309,7 +307,7 @@ def _trial(X, y, masks, grid, jobs):
             "smo_converged": model.smo[1], "logistic_converged": fit.converged}
 
 
-def run_protocol(rows, features, trials=200, seed=0, grid=None, jobs=None):
+def run_protocol(rows, features, trials=200, seed=0, grid=None):
     """Repeated content-disjoint 70/15/15 trials; reports per-metric medians.
 
     Per trial: grid search on the validation set, train on the training set,
@@ -318,12 +316,11 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None, jobs=None):
     Every split is drawn before the first fit; one too small raises ValueError.
     per_trial also records each trial's chosen (C, epsilon, kernel_gamma),
     the SMO iterations of its final fit and whether that solve converged,
-    and whether its logistic fit converged. Each grid search fits in
-    grid_search's jobs worker processes; per_trial does not depend on jobs.
+    and whether its logistic fit converged.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_seed_and_jobs(seed, jobs)
+    _check_seed(seed)
     contents = sorted({r.content_id for r in rows})
     if len(contents) < 3:
         raise ValueError(f"need at least 3 contents, got {len(contents)}")
@@ -331,7 +328,7 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None, jobs=None):
     splits = [split_contents(contents, np.random.default_rng([seed, t])) for t in range(trials)]
     masks = [_masks(ids, f"trial {t}", training=train, validation=val, test=test)
              for t, (train, val, test) in enumerate(splits)]
-    records = [_trial(X, y, m, grid, jobs) for m in masks]
+    records = [_trial(X, y, m, grid) for m in masks]
     per_trial = {key: [r[key] for r in records] for key in records[0]}
 
     def med(key):

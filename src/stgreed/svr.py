@@ -162,11 +162,6 @@ def predict(model, x):
     return float(out[0]) if single else out
 
 
-def _check_jobs(jobs):
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-
 def _grid_point(fits, k):
     """Fit grid point k on the shared training rows; returns (k, its key).
 
@@ -201,8 +196,7 @@ def _fit_points(fits, order, jobs):
 
     With jobs > 1 the fits run in that many forked processes, which inherit
     fits instead of unpickling it. They run here where the platform cannot
-    fork, where this process is a pool's daemonic worker and may not start
-    one, and where another thread runs: a child holds only the forking
+    fork, and where another thread runs: a child holds only the forking
     thread, so a lock another thread held would stay locked in it.
     """
     if jobs > 1:
@@ -210,9 +204,7 @@ def _fit_points(fits, order, jobs):
         import multiprocessing
         import threading
         from concurrent.futures import ProcessPoolExecutor
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon
-                and threading.active_count() == 1):
+        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
             # A worker that dies mid-fit raises BrokenProcessPool here; a
             # multiprocessing.Pool would wait for its result forever.
             with ProcessPoolExecutor(jobs, multiprocessing.get_context("fork"),
@@ -223,21 +215,20 @@ def _fit_points(fits, order, jobs):
         yield _grid_point(fits, k)
 
 
-def grid_search(train_xy, val_xy, grid=None, jobs=None):
+def grid_search(train_xy, val_xy, grid=None):
     """Pick the (C, epsilon, kernel_gamma) maximizing validation rank correlation.
 
-    Ties break toward smaller C, then larger epsilon. jobs worker processes
-    fit the grid points, the slowest first; None means one per core this
-    process may run on (1 where the platform cannot tell), and no more than
-    the grid has points. The pick does not depend on jobs.
+    Ties break toward smaller C, then larger epsilon. One worker process per
+    core this process may run on (os.sched_getaffinity; 1 where the platform
+    cannot tell), and no more than the grid has points, fits the grid points,
+    the slowest first. The pick does not depend on the worker count.
     """
+    import os
+
     grid = DEFAULT_GRID if grid is None else list(grid)
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    _check_jobs(jobs)
-    if jobs is None:
-        import os
-        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     X_val, y_val = val_xy
     Xn, y, shift, scale = _standardize(*train_xy)
     # Every fit trains on the same rows: standardize them and take their

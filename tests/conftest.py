@@ -1,4 +1,5 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,14 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
             item.add_marker(pytest.mark.filterwarnings(
                 "error::pytest.PytestUnraisableExceptionWarning"))
+
+
+@pytest.fixture
+def pin_cores(monkeypatch):
+    """pin_cores(n) makes grid_search see n usable cores, so it starts n workers."""
+    def pin(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return pin
 
 
 def sample_ggd(rng, alpha, beta, size):

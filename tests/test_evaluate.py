@@ -252,32 +252,29 @@ def test_run_protocol_deterministic(rng):
     assert r1.per_trial != r3.per_trial
 
 
-def test_run_protocol_and_train_model_do_not_depend_on_jobs(rng):
+def test_run_protocol_and_train_model_do_not_depend_on_the_core_count(rng, pin_cores):
     rows, features = _synthetic_dataset(rng, n_contents=8, per_content=5)
     grid = DEFAULT_GRID[::9]
-    reports = [run_protocol(rows, features, trials=2, seed=3, grid=grid, jobs=jobs)
-               for jobs in (1, 2)]
-    assert repr(reports[0].per_trial) == repr(reports[1].per_trial)
 
     def exact(model):
         return (model.hyperparams, float.hex(model.bias),
                 [float.hex(float(b)) for b in model.dual_coeffs])
 
-    one, two = (exact(train_model(rows, features, seed=3, grid=grid, jobs=jobs))
-                for jobs in (1, 2))
-    assert one == two
+    reports, models = [], []
+    for cores in (1, 2):  # fits in-process, then in two workers
+        pin_cores(cores)
+        reports.append(repr(run_protocol(rows, features, trials=2, seed=3, grid=grid).per_trial))
+        models.append(exact(train_model(rows, features, seed=3, grid=grid)))
+    assert reports[0] == reports[1]
+    assert models[0] == models[1]
 
 
 @pytest.mark.parametrize("call", [run_protocol, train_model])
-@pytest.mark.parametrize("kwargs, error", [
-    ({"seed": -1}, "seed must be >= 0, got -1"),
-    ({"jobs": 0}, "jobs must be >= 1, got 0"),
-])
-def test_protocol_checks_seed_and_jobs_before_the_table(rng, call, kwargs, error):
+def test_protocol_checks_seed_before_the_table(rng, call):
     rows, features = _synthetic_dataset(rng, n_contents=4, per_content=2)
     del features[(rows[0].ref, rows[0].dist)]  # the table's own check would fail later
-    with pytest.raises(ValueError, match=f"^{error}$"):
-        call(rows, features, **kwargs)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        call(rows, features, seed=-1)
 
 
 def test_run_protocol_missing_features(rng):

@@ -2,7 +2,6 @@ import json
 import multiprocessing
 import subprocess
 import sys
-import types
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -138,17 +137,18 @@ def _grid_keys(train_xy, val_xy, grid):
     (4, [(1.0, 0.1, 0.5), (10.0, 1.0, 2.0), (1.0, 2.0, 0.5), (1.0, 2.0, 0.5),
          (100.0, 0.1, 2.0), (1.0, 2.0, 0.125), (10.0, 2.0, 0.5)]),
 ], ids=["spread", "tied", "unordered"])
-@pytest.mark.parametrize("seed, jobs", [(s, j) for j in (2, 1) for s in (0, 1, 2)],
-                         ids=[f"{s}" for s in (0, 1, 2)] + [f"{s}-jobs1" for s in (0, 1, 2)])
-def test_grid_search_picks_what_separate_fits_pick(seed, jobs, n_val, grid):
+@pytest.mark.parametrize("seed, cores", [(s, c) for c in (2, 1) for s in (0, 1, 2)],
+                         ids=[f"{s}" for s in (0, 1, 2)] + [f"{s}-1core" for s in (0, 1, 2)])
+def test_grid_search_picks_what_separate_fits_pick(pin_cores, seed, cores, n_val, grid):
     # Two workers finish the fits out of grid order; the pick must not move.
+    pin_cores(cores)
     rng = np.random.default_rng(seed)
     train_xy, val_xy = _toy_problem(rng, n=40), _toy_problem(rng, n=n_val)
     keys = _grid_keys(train_xy, val_xy, grid)
     want = grid[max(range(len(grid)), key=keys.__getitem__)]
     if n_val == 4:
         assert len({k[0] for k in keys}) < len(grid)  # the case has tied scores
-    assert grid_search(train_xy, val_xy, grid, jobs=jobs) == tuple(want)
+    assert grid_search(train_xy, val_xy, grid) == tuple(want)
 
 
 def _no_process_pool(monkeypatch):
@@ -157,44 +157,47 @@ def _no_process_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", refuse)
 
 
-def test_grid_search_forks_only_for_more_than_one_job(monkeypatch, rng):
+def test_grid_search_forks_only_on_more_than_one_core(monkeypatch, pin_cores, rng):
     train_xy, val_xy = _toy_problem(rng, n=30), _toy_problem(rng, n=10)
     grid = DEFAULT_GRID[::7]
     started, get_context = [], multiprocessing.get_context
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: started.append(method) or get_context(method))
-    want = grid_search(train_xy, val_xy, grid, jobs=2)
+    pin_cores(2)
+    want = grid_search(train_xy, val_xy, grid)
     assert started == ["fork"]
     _no_process_pool(monkeypatch)
-    assert grid_search(train_xy, val_xy, grid, jobs=1) == want
+    pin_cores(1)
+    assert grid_search(train_xy, val_xy, grid) == want
+    pin_cores(8)  # a one-point grid gets one worker
+    assert grid_search(train_xy, val_xy, grid[:1]) == grid[0]
 
 
-@pytest.mark.parametrize("obstacle", ["no fork", "daemonic worker", "another thread"])
-def test_grid_search_fits_in_process_where_it_cannot_fork(monkeypatch, rng, obstacle):
+@pytest.mark.parametrize("obstacle", ["no fork", "another thread"])
+def test_grid_search_fits_in_process_where_it_cannot_fork(monkeypatch, pin_cores, rng, obstacle):
     train_xy, val_xy = _toy_problem(rng, n=30), _toy_problem(rng, n=10)
     grid = DEFAULT_GRID[::7]
-    want = grid_search(train_xy, val_xy, grid, jobs=1)
+    pin_cores(1)
+    want = grid_search(train_xy, val_xy, grid)
     _no_process_pool(monkeypatch)
+    pin_cores(2)
     if obstacle == "no fork":
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    elif obstacle == "daemonic worker":
-        monkeypatch.setattr(multiprocessing, "current_process",
-                            lambda: types.SimpleNamespace(daemon=True))
+        assert grid_search(train_xy, val_xy, grid) == want
     else:
         with ThreadPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(grid_search, train_xy, val_xy, grid, jobs=2).result() == want
-        return
-    assert grid_search(train_xy, val_xy, grid, jobs=2) == want
+            assert pool.submit(grid_search, train_xy, val_xy, grid).result() == want
 
 
 _DYING_WORKER = """
 import os
 import numpy as np
 from stgreed import svr
+os.sched_getaffinity = lambda pid: {0, 1}
 fit = svr._grid_point
 svr._grid_point = lambda fits, k: os._exit(1) if k == 0 else fit(fits, k)
 X = np.random.default_rng(0).normal(size=(30, 4))
-svr.grid_search((X, X[:, 0]), (X, X[:, 0]), svr.DEFAULT_GRID[::7], jobs=2)
+svr.grid_search((X, X[:, 0]), (X, X[:, 0]), svr.DEFAULT_GRID[::7])
 """
 
 
@@ -204,13 +207,6 @@ def test_grid_search_raises_when_a_worker_dies():
                           cwd=str(Path(stgreed.__file__).parents[1]), timeout=60)
     assert proc.returncode == 1
     assert "BrokenProcessPool" in proc.stderr
-
-
-@pytest.mark.parametrize("jobs", [0, -2])
-def test_grid_search_rejects_jobs_below_one(rng, jobs):
-    X, y = _toy_problem(rng, n=10)
-    with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
-        grid_search((X, y), (X, y), jobs=jobs)
 
 
 def test_model_round_trip(tmp_path, rng):
