@@ -298,13 +298,14 @@ def train_model(rows, features, seed=0, grid=None, fingerprint=""):
 def _trial(X, y, masks, grid):
     """Grid search on validation, fit on training, score the test rows."""
     train, val, test = masks
-    hp = grid_search((X[train], y[train]), (X[val], y[val]), grid)
+    work = {}
+    hp = grid_search((X[train], y[train]), (X[val], y[val]), grid, work=work)
     model = train_svr(X[train], y[train], hp)
     pred = predict(model, X[test])
     s, k, fit = srocc(pred, y[test]), krocc(pred, y[test]), plcc_rmse(pred, y[test])
     return {"srocc": s, "krocc": k, "plcc": fit.plcc, "rmse": fit.rmse,
             "hyperparams": model.hyperparams, "smo_iterations": model.smo[0],
-            "smo_converged": model.smo[1], "logistic_converged": fit.converged}
+            "smo_converged": model.smo[1], "logistic_converged": fit.converged, **work}
 
 
 def run_protocol(rows, features, trials=200, seed=0, grid=None):
@@ -316,7 +317,9 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
     Every split is drawn before the first fit; one too small raises ValueError.
     per_trial also records each trial's chosen (C, epsilon, kernel_gamma),
     the SMO iterations of its final fit and whether that solve converged,
-    and whether its logistic fit converged.
+    whether its logistic fit converged, and its grid search's solver work
+    (grid_smo_iterations, grid_face_steps, grid_unconverged; see
+    grid_search).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -8,6 +8,9 @@ import numpy as np
 MODEL_FORMAT = "stgreed-svr"
 MODEL_VERSION = 1
 _SMO_TOL = 1e-3  # the SMO loop stops once the violating pair's gap is at most this
+_FACE_EVERY = 2000  # SMO steps between two face steps
+_FACE_ROUNDS = 50   # blocked moves, each pinning one row, per face step
+_CG_ITERS = 40      # kernel matvecs per round of a face step's conjugate gradients
 
 DEFAULT_GRID = [(C, eps, g)
                 for C in (1.0, 10.0, 100.0, 1000.0)
@@ -36,13 +39,91 @@ def _rbf(gamma, a, b):
     return np.exp(-gamma * _sq_dist(a, b))
 
 
+def _dual(beta, K_beta, y, epsilon):
+    """The dual objective 0.5 beta'K beta - y'beta + epsilon |beta|_1, to minimize."""
+    return 0.5 * (beta @ K_beta) - y @ beta + epsilon * np.abs(beta).sum()
+
+
+def _face_step(K, y, C, epsilon, beta):
+    """Minimize the dual over the face of beta's free rows.
+
+    The face is the free rows F (0 < |beta_p| < C) with their signs held,
+    the bound rows held and sum(beta) kept, so on it the dual is a quadratic
+    with gradient (K beta - y + epsilon sign(beta))_F. Each round runs
+    projected conjugate gradients (at most _CG_ITERS matvecs with K_FF, from
+    the current beta_F) toward the face's minimum, moves toward that point
+    and stops the move at the first row to reach 0 or C in magnitude; that
+    row is pinned there and the next round works on the rest (More &
+    Toraldo, "On the solution of large quadratic programming problems with
+    bound constraints", SIAM J. Optim. 1991). A round whose move reaches its
+    point, or _FACE_ROUNDS rounds, end the step.
+
+    Only matvecs: a LAPACK solve of K_FF gives other bytes under another
+    BLAS thread count. Returns (beta, K @ beta) for the new point if it
+    lowers the dual objective, else None.
+    """
+    K_beta = K @ beta
+    free = np.flatnonzero((beta != 0.0) & (np.abs(beta) < C))
+    if len(free) < 2:
+        return None
+    sign = np.sign(beta[free])
+    lo = np.where(sign > 0.0, 0.0, -C)
+    hi = lo + C
+    A = K[np.ix_(free, free)]
+    b = beta[free]
+    g = K_beta[free] - y[free] + epsilon * sign
+    on = np.ones(len(free))  # 1.0 on rows not yet pinned
+    m = len(free)
+
+    def project(v):  # onto the moves with no pinned row and a zero sum
+        v = on * v
+        return v - on * (v.sum() / m)
+
+    for _ in range(_FACE_ROUNDS):
+        r = -project(g)
+        d, Ad, p, rr = np.zeros(len(free)), np.zeros(len(free)), r, r @ r
+        for _ in range(_CG_ITERS):
+            # The free rows' scores then differ by at most _SMO_TOL / 2.
+            if np.abs(r).max() <= 0.25 * _SMO_TOL:
+                break
+            Ap = A @ p
+            pAp = p @ Ap
+            if not pAp > 0.0:  # no curvature left along p (duplicated rows)
+                break
+            a = rr / pAp
+            d += a * p
+            Ad += a * Ap
+            r = r - a * project(Ap)
+            rr, rr_old = r @ r, rr
+            p = r + (rr / rr_old) * p
+        d = project(d)  # sum(d) drifts from 0 over the iterations
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.where(d > 0.0, (hi - b) / d, np.where(d < 0.0, (lo - b) / d, np.inf))
+        k = int(reach.argmin())
+        t = min(reach[k], 1.0)
+        b = np.clip(b + t * d, lo, hi)
+        g = g + t * Ad
+        if t == 1.0:
+            break
+        b[k] = hi[k] if d[k] > 0.0 else lo[k]
+        on[k] = 0.0
+        m -= 1  # one row left cannot move: its round reaches its point
+
+    new = beta.copy()
+    new[free] = b
+    K_new = K @ new
+    if _dual(new, K_new, y, epsilon) < _dual(beta, K_beta, y, epsilon):
+        return new, K_new
+    return None
+
+
 def _solve_smo(K, y, C, epsilon, max_iter=200000):
     """Two-coordinate dual ascent with most-violating-pair selection.
 
     The variables are the stacked (alpha, alpha*) vector lam, each entry
     boxed in [0, C]; entry t belongs to training row t % n and has sign
-    s_t = +1 for t < n, -1 otherwise. The equality constraint
-    sum(alpha - alpha*) = 0 is preserved exactly by every update.
+    s_t = +1 for t < n, -1 otherwise. Every update keeps the equality
+    constraint sum(alpha - alpha*) = 0, up to rounding.
 
     The loop state is the score v = -s * G (G the dual gradient) in two
     masked copies, the rows of one (2, 2n) array: v_up holds v_t where t may
@@ -66,6 +147,14 @@ def _solve_smo(K, y, C, epsilon, max_iter=200000):
     sum(alpha - alpha*) = nC > 0, which no update allows. The same argument
     covers the low set.
 
+    Pair steps zigzag where C is large and the kernel ill-conditioned, with
+    most rows strictly inside their box. So after every _FACE_EVERY steps
+    the loop takes one face step (_face_step) and, if that lowered the
+    dual objective, rebuilds lam and both score copies from the new beta
+    and K @ beta; the pair steps then go on from there. A fit of fewer than
+    _FACE_EVERY steps takes no face step, and one of `iterations` steps
+    takes iterations // _FACE_EVERY of them.
+
     Returns (beta, bias, iterations, converged) with beta = alpha - alpha*;
     converged is True when the loop stopped on gap <= _SMO_TOL, False when
     it ran out of max_iter steps.
@@ -83,6 +172,18 @@ def _solve_smo(K, y, C, epsilon, max_iter=200000):
     halves = scores.reshape(4, n)
 
     for it in range(max_iter + 1):
+        if it and not it % _FACE_EVERY:
+            lam_a = np.array(lam)
+            face = _face_step(K, y, C, epsilon, lam_a[:n] - lam_a[n:])
+            if face is not None:
+                beta, K_beta = face
+                alpha, alpha_s = np.maximum(beta, 0.0), np.maximum(-beta, 0.0)
+                lam = alpha.tolist() + alpha_s.tolist()
+                u = y - K_beta  # v = u - epsilon on the alpha half, u + epsilon on alpha*
+                v_up[:n] = np.where(alpha < C, u - epsilon, -np.inf)
+                v_up[n:] = np.where(alpha_s > 0.0, u + epsilon, -np.inf)
+                v_low[:n] = np.where(alpha > 0.0, u - epsilon, np.inf)
+                v_low[n:] = np.where(alpha_s < C, u + epsilon, np.inf)
         i, j = int(v_up.argmax()), int(v_low.argmin())
         gap = v_up.item(i) - v_low.item(j)
         if it == max_iter or gap <= _SMO_TOL:
@@ -163,7 +264,7 @@ def predict(model, x):
 
 
 def _grid_point(fits, k):
-    """Fit grid point k on the shared training rows; returns (k, its key).
+    """Fit grid point k on the shared training rows; returns (k, its key, the fit's smo).
 
     fits is (dist, Xn, y, shift, scale, X_val, y_val, points, kernel), and
     kernel holds exp(-gamma * dist) for the last gamma this process fitted.
@@ -175,8 +276,9 @@ def _grid_point(fits, k):
     if gamma not in kernel:
         kernel.clear()  # free the last gamma's kernel before building this one
         kernel[gamma] = np.exp(-gamma * dist)
-    score = srocc(predict(_fit(kernel[gamma], Xn, y, shift, scale, hp), X_val), y_val)
-    return k, (-np.inf if score is None else score, -C, epsilon)
+    model = _fit(kernel[gamma], Xn, y, shift, scale, hp)
+    score = srocc(predict(model, X_val), y_val)
+    return k, (-np.inf if score is None else score, -C, epsilon), model.smo
 
 
 _worker_fits = None  # a pool worker's grid_search arguments, set at its start
@@ -192,7 +294,7 @@ def _pooled_grid_point(k):
 
 
 def _fit_points(fits, order, jobs):
-    """Yield _grid_point's (k, key) for each k in order.
+    """Yield _grid_point's (k, key, smo) for each k in order.
 
     With jobs > 1 the fits run in that many forked processes, which inherit
     fits instead of unpickling it. They run here where the platform cannot
@@ -215,13 +317,18 @@ def _fit_points(fits, order, jobs):
         yield _grid_point(fits, k)
 
 
-def grid_search(train_xy, val_xy, grid=None):
+def grid_search(train_xy, val_xy, grid=None, work=None):
     """Pick the (C, epsilon, kernel_gamma) maximizing validation rank correlation.
 
     Ties break toward smaller C, then larger epsilon. One worker process per
     core this process may run on (os.sched_getaffinity; 1 where the platform
     cannot tell), and no more than the grid has points, fits the grid points,
     the slowest first. The pick does not depend on the worker count.
+
+    A dict passed as work receives the solver's work summed over the grid's
+    fits: grid_smo_iterations (SMO steps), grid_face_steps (face steps,
+    one per _FACE_EVERY steps of a fit) and grid_unconverged (fits that
+    stopped on the iteration cap rather than the tolerance).
     """
     import os
 
@@ -238,9 +345,14 @@ def grid_search(train_xy, val_xy, grid=None):
     points = [tuple(float(v) for v in hp) for hp in grid]
     fits = (_sq_dist(Xn, Xn), Xn, y, shift, scale, X_val, y_val, points, {})
     order = sorted(range(len(points)), key=lambda k: (points[k][2], -points[k][0]))
-    keys = [None] * len(grid)
-    for k, key in _fit_points(fits, order, min(jobs, len(points))):
+    keys, smo = [None] * len(grid), []
+    for k, key, fit_smo in _fit_points(fits, order, min(jobs, len(points))):
         keys[k] = key
+        smo.append(fit_smo)
+    if work is not None:
+        work.update(grid_smo_iterations=sum(it for it, _ in smo),
+                    grid_face_steps=sum(it // _FACE_EVERY for it, _ in smo),
+                    grid_unconverged=sum(not converged for _, converged in smo))
     best = max(range(len(grid)), key=keys.__getitem__)  # the first entry of a full tie
     return tuple(grid[best])
 

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +17,7 @@ from stgreed.evaluate import (DatasetRow, _nelder_mead, dump_histogram,
                               format_histogram, hfr_vmaf, krocc, logistic,
                               plcc_rmse, read_manifest, run_protocol,
                               split_contents, srocc, train_model)
-from stgreed.svr import DEFAULT_GRID, grid_search, predict, train_svr
+from stgreed.svr import _FACE_EVERY, DEFAULT_GRID, grid_search, predict, train_svr
 
 
 def test_rank_correlations_perfect_and_reversed():
@@ -219,12 +221,12 @@ def test_split_contents_disjoint_and_sized():
     assert len(train) == len(val) == len(test) == 1
 
 
-def _synthetic_dataset(rng, n_contents=10, per_content=6):
+def _synthetic_dataset(rng, n_contents=10, per_content=6, noise=0.2):
     rows, features = [], {}
     for c in range(n_contents):
         for k in range(per_content):
             x = rng.normal(size=16)
-            dmos = 20.0 + 6.0 * x[0] + 2.0 * x[3] + rng.normal(0, 0.2)
+            dmos = 20.0 + 6.0 * x[0] + 2.0 * x[3] + rng.normal(0, noise)
             ref, dist = f"r{c}.y4m", f"d{c}_{k}.y4m"
             rows.append(DatasetRow(f"c{c:02d}", ref, dist, Fraction(30),
                                    f"v{k}", dmos))
@@ -267,6 +269,39 @@ def test_run_protocol_and_train_model_do_not_depend_on_the_core_count(rng, pin_c
         models.append(exact(train_model(rows, features, seed=3, grid=grid)))
     assert reports[0] == reports[1]
     assert models[0] == models[1]
+
+
+_THREADS_CHILD = """
+import json, os, sys
+from fractions import Fraction
+cores = int(sys.argv[1])
+os.sched_getaffinity = lambda pid: set(range(cores))  # as the pin_cores fixture does
+from stgreed.evaluate import DatasetRow, run_protocol
+data = json.load(sys.stdin)
+rows = [DatasetRow(c, ref, dist, Fraction(30), tag, dmos)
+        for c, ref, dist, tag, dmos in data["rows"]]
+features = {(r.ref, r.dist): {"values": v} for r, v in zip(rows, data["values"])}
+print(repr(run_protocol(rows, features, trials=1, seed=2, grid=data["grid"]).per_trial))
+"""
+
+
+def test_run_protocol_does_not_depend_on_blas_threads_or_cores(rng):
+    # The kernels' matmuls and the face steps' matvecs run in BLAS, whose
+    # thread count taskset changes; their bytes must not follow it. The
+    # grid's C = 1000 fit runs long enough to take face steps.
+    rows, features = _synthetic_dataset(rng, n_contents=10, per_content=12, noise=5.0)
+    data = {"rows": [(r.content_id, r.ref, r.dist, r.tag, r.dmos) for r in rows],
+            "values": [list(features[(r.ref, r.dist)]["values"]) for r in rows],
+            "grid": [(1000.0, 0.1, 2.0 ** -6), (10.0, 2.0, 2.0 ** -6)]}
+    src = str(Path(stgreed.__file__).parents[1])
+    reports = []
+    for threads in ("1", "2"):  # with one core, then two grid workers
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        reports.append(subprocess.run([sys.executable, "-c", _THREADS_CHILD, threads], cwd=src,
+                                      env=env, check=True, input=json.dumps(data),
+                                      capture_output=True, text=True, timeout=120).stdout)
+    assert ast.literal_eval(reports[0])["grid_face_steps"][0] > 0
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("call", [run_protocol, train_model])
@@ -372,10 +407,15 @@ def test_run_protocol_matches_trials_recomputed_by_hand(rng):
         model = train_svr(X_tr, y_tr, hp)
         pred = predict(model, X_te)
         fit = plcc_rmse(pred, y_te)
+        # The grid's fits are train_svr fits of its points on the training rows.
+        grid_smo = [train_svr(X_tr, y_tr, point).smo for point in grid]
         want = {"srocc": srocc(pred, y_te), "krocc": krocc(pred, y_te),
                 "plcc": fit.plcc, "rmse": fit.rmse, "hyperparams": model.hyperparams,
                 "smo_iterations": model.smo[0], "smo_converged": model.smo[1],
-                "logistic_converged": fit.converged}
+                "logistic_converged": fit.converged,
+                "grid_smo_iterations": sum(it for it, _ in grid_smo),
+                "grid_face_steps": sum(it // _FACE_EVERY for it, _ in grid_smo),
+                "grid_unconverged": sum(not converged for _, converged in grid_smo)}
         assert {key: values[trial] for key, values in per_trial.items()} == want
     assert list(per_trial) == list(want)
 

@@ -7,13 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import stgreed
+from stgreed import svr
 from stgreed.evaluate import srocc
-from stgreed.svr import (DEFAULT_GRID, _rbf, _solve_smo, grid_search, load_model,
-                         predict, save_model, train_svr)
+from stgreed.svr import (_FACE_EVERY, _SMO_TOL, DEFAULT_GRID, _dual, _rbf, _solve_smo,
+                         grid_search, load_model, predict, save_model, train_svr)
 
 
 def _toy_problem(rng, n=60, d=4):
@@ -149,6 +150,22 @@ def test_grid_search_picks_what_separate_fits_pick(pin_cores, seed, cores, n_val
     if n_val == 4:
         assert len({k[0] for k in keys}) < len(grid)  # the case has tied scores
     assert grid_search(train_xy, val_xy, grid) == tuple(want)
+
+
+def test_grid_search_reports_its_fits_work(monkeypatch, pin_cores, rng):
+    train_xy, val_xy = _toy_problem(rng, n=60), _toy_problem(rng, n=20)
+    grid = [(1000.0, 0.01, 2.0 ** -4), (1000.0, 0.1, 2.0 ** -6), (1.0, 0.1, 0.5)]
+    solve = svr._solve_smo  # cap the fits so that the first stops unconverged
+    monkeypatch.setattr(svr, "_solve_smo", lambda *args: solve(*args, max_iter=10000))
+    smo = [train_svr(*train_xy, point).smo for point in grid]
+    assert smo[0] == (10000, False) and smo[1][0] > _FACE_EVERY and smo[2][0] < _FACE_EVERY
+    want = {"grid_smo_iterations": sum(it for it, _ in smo),
+            "grid_face_steps": sum(it // _FACE_EVERY for it, _ in smo), "grid_unconverged": 1}
+    for cores in (1, 2):
+        pin_cores(cores)
+        work = {}
+        assert grid_search(train_xy, val_xy, grid, work=work) == grid_search(train_xy, val_xy, grid)
+        assert work == want
 
 
 def _no_process_pool(monkeypatch):
@@ -299,7 +316,10 @@ def test_solve_smo_reports_iterations_and_convergence(rng):
 
 
 def _reference_smo(K, y, C, epsilon, tol=1e-3, max_iter=200000):
-    """The masked-scan SMO loop with a separate beta accumulator."""
+    """The masked-scan SMO loop with a separate beta accumulator.
+
+    Returns (beta, bias, steps).
+    """
     n = len(y)
     lam = np.zeros(2 * n)
     s = np.concatenate([np.ones(n), -np.ones(n)])
@@ -308,6 +328,7 @@ def _reference_smo(K, y, C, epsilon, tol=1e-3, max_iter=200000):
     # G_t = s_t * ((K beta)_p - y_p) + epsilon; beta starts at 0
     G = np.concatenate([-y, y]) + epsilon
 
+    steps = 0
     for _ in range(max_iter):
         neg_sG = -s * G
         up = np.where(s > 0, lam < C, lam > 0)
@@ -336,6 +357,7 @@ def _reference_smo(K, y, C, epsilon, tol=1e-3, max_iter=200000):
         beta[pi] += u
         beta[pj] -= u
         G += s * (K[idx, pi] - K[idx, pj]) * u
+        steps += 1
 
     neg_sG = -s * G
     up = np.where(s > 0, lam < C, lam > 0)
@@ -344,26 +366,92 @@ def _reference_smo(K, y, C, epsilon, tol=1e-3, max_iter=200000):
         bias = 0.5 * (np.max(neg_sG[up]) + np.min(neg_sG[low]))
     else:
         bias = float(np.mean(y))
-    return beta, float(bias)
+    return beta, float(bias), steps
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 80), st.integers(1, 5), st.integers(0, 40),
-       st.sampled_from([0.1, 10.0, 1000.0]), st.sampled_from([0.0, 0.1, 2.0]),
-       st.sampled_from([0.01, 0.5, 4.0]), st.sampled_from([1, 7, None]),
-       st.integers(0, 2 ** 32 - 1))
-def test_solve_smo_matches_reference(n, d, n_dup, C, eps, gamma, max_iter, seed):
+def _smo_problem(n, d, n_dup, gamma, seed):
+    """Kernel and labels of n seeded rows, n_dup of them copies of others."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
-    # Duplicate rows give equal gradients, so selection must break ties the
-    # way the reference does.
     y = rng.normal(50.0, 10.0, size=n)
     dup = rng.integers(0, n, size=(min(n_dup, n - 1), 2))
     X[dup[:, 0]] = X[dup[:, 1]]
     y[dup[:, 0]] = y[dup[:, 1]]
-    K = _rbf(gamma, X, X)
-    kw = {} if max_iter is None else {"max_iter": max_iter}
-    beta, bias, _, _ = _solve_smo(K, y, C, eps, **kw)
-    beta_ref, bias_ref = _reference_smo(K, y, C, eps, **kw)
+    return _rbf(gamma, X, X), y
+
+
+def _kkt_gap(K, y, C, epsilon, beta):
+    """The most violating pair's gap, recomputed from beta and K @ beta."""
+    u = y - K @ beta
+    alpha, alpha_s = np.maximum(beta, 0.0), np.maximum(-beta, 0.0)
+    up = np.concatenate([np.where(alpha < C, u - epsilon, -np.inf),
+                         np.where(alpha_s > 0.0, u + epsilon, -np.inf)])
+    low = np.concatenate([np.where(alpha > 0.0, u - epsilon, np.inf),
+                          np.where(alpha_s < C, u + epsilon, np.inf)])
+    return up.max() - low.min()
+
+
+def _assert_smo_contract(K, y, C, epsilon, beta_ref):
+    """_solve_smo's solution is feasible, optimal to _SMO_TOL and no worse than beta_ref.
+
+    The slacks: the loop steers by scores it updates in place, so the gap
+    recomputed from K @ beta may differ from the one it stopped on by their
+    accumulated rounding (1e-6 is orders above it); the two solutions each
+    stop at a gap of _SMO_TOL, not at the optimum, so either dual objective
+    may be the lower by a little (1e-8 relative).
+    """
+    beta, _, _, converged = _solve_smo(K, y, C, epsilon)
+    assert converged
+    assert np.abs(beta).max() <= C * (1.0 + 1e-12)  # alpha = max(beta, 0), alpha* = max(-beta, 0)
+    assert abs(beta.sum()) <= 1e-14 * C * len(y)
+    assert _kkt_gap(K, y, C, epsilon, beta) <= _SMO_TOL + 1e-6
+    f, f_ref = _dual(beta, K @ beta, y, epsilon), _dual(beta_ref, K @ beta_ref, y, epsilon)
+    assert f <= f_ref + 1e-8 * abs(f_ref)
+
+
+# Duplicate rows give equal gradients, so selection must break ties the way
+# the reference does.
+_smo_cases = given(st.integers(2, 80), st.integers(1, 5), st.integers(0, 40),
+                   st.sampled_from([0.1, 10.0, 1000.0]), st.sampled_from([0.0, 0.1, 2.0]),
+                   st.sampled_from([0.01, 0.5, 4.0]), st.sampled_from([1, 7, None]),
+                   st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@_smo_cases
+def test_solve_smo_matches_reference(n, d, n_dup, C, eps, gamma, max_iter, seed):
+    # Fewer than _FACE_EVERY steps take no face step: the pair loop alone. A
+    # fit the reference runs longer is compared over its first
+    # _FACE_EVERY - 1 steps.
+    K, y = _smo_problem(n, d, n_dup, gamma, seed)
+    cap = _FACE_EVERY - 1 if max_iter is None else max_iter
+    beta_ref, bias_ref, _ = _reference_smo(K, y, C, eps, max_iter=cap)
+    beta, bias, _, _ = _solve_smo(K, y, C, eps, max_iter=cap)
     assert bias == bias_ref
     np.testing.assert_allclose(beta, beta_ref, rtol=0, atol=1e-12 * C)
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@_smo_cases
+def test_solve_smo_keeps_its_contract_past_a_face_step(n, d, n_dup, C, eps, gamma, max_iter,
+                                                       seed):
+    # The reference's longer fits, where face steps change the path. Capped
+    # below the first face step the solver is the reference's loop (the test
+    # above), so it finds them at a tenth of the reference's cost.
+    assume(max_iter is None)
+    K, y = _smo_problem(n, d, n_dup, gamma, seed)
+    assume(not _solve_smo(K, y, C, eps, max_iter=_FACE_EVERY - 1)[3])
+    beta_ref, _, steps = _reference_smo(K, y, C, eps)
+    assert steps >= _FACE_EVERY
+    _assert_smo_contract(K, y, C, eps, beta_ref)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(40, 120), st.integers(1, 4), st.integers(0, 20),
+       st.sampled_from([2.0 ** -6, 2.0 ** -5, 2.0 ** -4]), st.integers(0, 2 ** 32 - 1))
+def test_solve_smo_contract_on_ill_conditioned_kernels(n, d, n_dup, gamma, seed):
+    # C = 1000 with a small gamma and epsilon = 0 is where fits run long and
+    # most rows are free; duplicated rows make K_FF singular.
+    K, y = _smo_problem(n, d, n_dup, gamma, seed)
+    beta_ref, _, _ = _reference_smo(K, y, 1000.0, 0.0)
+    _assert_smo_contract(K, y, 1000.0, 0.0, beta_ref)
