@@ -77,6 +77,9 @@ def check_bank_fits(wavelet_name, levels, n_frames):
     lo, _ = _analysis_pair(wavelet_name, levels)
     length = (len(lo) - 1) * (2 ** levels - 1) + 1
     if 4 * n_frames < length:
+        if levels > 64:  # counts too long to print
+            raise ValueError(f"video too short for the temporal filter bank: {levels} levels "
+                             f"need at least 2**{levels - 2} frames, got {n_frames}")
         raise ValueError(f"video too short for the temporal filter bank: {length} taps "
                          f"need at least {-(-length // 4)} frames, got {n_frames}")
 

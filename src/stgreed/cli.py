@@ -7,7 +7,7 @@ import sys
 
 from . import evaluate, svr
 from .bandpass import WAVELETS, build_packet_filters, check_bank_fits, temporal_filter
-from .features import (GreedConfig, append_cache_record, compute_features,
+from .features import (GreedConfig, _check_jobs, append_cache_record, compute_features,
                        read_cache)
 from .video import VideoFormatError, downsample, load_raw_yuv, load_y4m
 
@@ -63,6 +63,7 @@ def _load_video(path, args, fps_override=None):
 
 def cmd_features(args):
     cfg = _config(args)
+    _check_jobs(args.jobs)
     ref = _load_video(args.ref, args)
     for i, path in enumerate(args.dist):
         # Bind no name to the distorted video, so it is freed before the next
@@ -86,6 +87,7 @@ def cmd_features(args):
 
 def cmd_score(args):
     cfg = _config(args)
+    _check_jobs(args.jobs)
     model = svr.load_model(args.model)
     if model.fingerprint and model.fingerprint != cfg.fingerprint():
         raise FingerprintMismatch(
@@ -105,6 +107,7 @@ def _load_dataset(args, cfg):
 
 def cmd_train(args):
     cfg = _config(args)
+    evaluate._check_counts(args.seed)
     rows, features = _load_dataset(args, cfg)
     model = evaluate.train_model(rows, features, seed=args.seed,
                                  fingerprint=cfg.fingerprint())
@@ -117,6 +120,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = _config(args)
+    evaluate._check_counts(args.seed, args.trials)
     rows, features = _load_dataset(args, cfg)
     report = evaluate.run_protocol(rows, features, trials=args.trials, seed=args.seed)
     for name in ("srocc", "krocc", "plcc", "rmse"):
@@ -137,7 +141,8 @@ def cmd_histdump(args):
     GreedConfig(wavelet=args.wavelet, levels=args.levels, scales=(args.scale,))
     n_bands = 2 ** args.levels - 1
     if not 1 <= args.band <= n_bands:
-        raise ValueError(f"band must be in [1, {n_bands}]")
+        top = n_bands if args.levels <= 64 else f"2**{args.levels} - 1"  # too long to print
+        raise ValueError(f"band must be in [1, {top}]")
     if args.bins < 2:
         raise ValueError("need at least 2 bins")
     video = _load_video(args.input, args)

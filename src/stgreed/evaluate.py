@@ -23,7 +23,6 @@ class DatasetRow:
     ref: str
     dist: str
     fps: Fraction
-    tag: str
     dmos: float
 
 
@@ -209,7 +208,10 @@ def plcc_rmse(pred, dmos):
 
 
 def read_manifest(path):
-    """Read a dataset manifest CSV (content_id, ref, dist, fps, tag, dmos)."""
+    """Read a dataset manifest CSV (content_id, ref, dist, fps, tag, dmos).
+
+    tag is a required free-text column; it is checked for but not read.
+    """
     rows = []
     # utf-8-sig also reads the byte-order mark that spreadsheet programs write.
     with open(path, newline="", encoding="utf-8-sig") as f:
@@ -223,7 +225,7 @@ def read_manifest(path):
                 raise ValueError(f"{where}: manifest row has too few fields")
             try:
                 row = DatasetRow(r["content_id"], r["ref"], r["dist"],
-                                 _as_fraction(r["fps"]), r["tag"], float(r["dmos"]))
+                                 _as_fraction(r["fps"]), float(r["dmos"]))
                 if not np.isfinite(row.dmos):
                     raise ValueError(f"dmos must be finite, got {r['dmos']!r}")
             except ValueError as e:
@@ -273,7 +275,10 @@ def _masks(ids, where, **parts):
     return masks
 
 
-def _check_seed(seed):
+def _check_counts(seed, trials=1):
+    """The protocol's checks of its trial count and seed, which need no input."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
@@ -284,7 +289,7 @@ def train_model(rows, features, seed=0, grid=None, fingerprint=""):
     The split is split_contents under default_rng([seed, 0]); the grid
     search trains on its train and test parts and scores on validation.
     """
-    _check_seed(seed)
+    _check_counts(seed)
     ids, X, y = _table(rows, features)
     contents = sorted({r.content_id for r in rows})
     if len(contents) < 3:
@@ -321,9 +326,7 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
     (grid_smo_iterations, grid_face_steps, grid_unconverged; see
     grid_search).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_seed(seed)
+    _check_counts(seed, trials)
     contents = sorted({r.content_id for r in rows})
     if len(contents) < 3:
         raise ValueError(f"need at least 3 contents, got {len(contents)}")
@@ -339,13 +342,6 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
         return float(np.median(vals)) if vals else None
 
     return EvalReport(med("srocc"), med("krocc"), med("plcc"), med("rmse"), trials, per_trial)
-
-
-def hfr_vmaf(vmaf_of_pr_dist, greed_score):
-    """Average an externally computed (inverted) VMAF score with the model score."""
-    if not 0.0 <= vmaf_of_pr_dist <= 100.0:
-        raise ValueError(f"vmaf score {vmaf_of_pr_dist} outside [0, 100]")
-    return 0.5 * ((100.0 - vmaf_of_pr_dist) + greed_score)
 
 
 def dump_histogram(coeffs, bins):

@@ -205,6 +205,11 @@ def sgreed_frame(theta_ref, theta_dist):
     return np.mean(np.abs(theta_dist - theta_ref), axis=-1)
 
 
+def _check_jobs(jobs):
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def compute_features(ref, dist, config=None, jobs=1):
     """Run the full pipeline on a reference/distorted pair.
 
@@ -218,8 +223,7 @@ def compute_features(ref, dist, config=None, jobs=1):
     reference reuse them; its frames must not change after it was built.
     """
     cfg = config or GreedConfig()
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_jobs(jobs)
     if (ref.height, ref.width) != (dist.height, dist.width):
         raise ValueError(
             f"resolution mismatch: reference {ref.width}x{ref.height}, "

@@ -193,18 +193,6 @@ def load_y4m(path):
         return LumaVideo(_read_luma(f, offsets, height, width, dtype), fps)
 
 
-def save_y4m(video, path):
-    """Serialize a LumaVideo as an 8-bit monochrome Y4M stream."""
-    fps = video.fps
-    header = f"YUV4MPEG2 W{video.width} H{video.height} F{fps.numerator}:{fps.denominator} Ip A1:1 Cmono\n"
-    data = np.rint(downsample(video, 0).frames).clip(0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        for t in range(video.num_frames):
-            f.write(b"FRAME\n")
-            f.write(data[t].tobytes())
-
-
 def load_raw_yuv(path, width, height, fps, pixel_format="yuv420p"):
     """Decode a headerless planar YUV file with caller-supplied geometry.
 
@@ -250,10 +238,10 @@ def downsample(video, s):
             return LumaVideo(frames, video.fps)
         return LumaVideo(_frozen_view(frames * gain), video.fps)
     t, h, w = frames.shape
-    k = 1 << s
     h2, w2 = h >> s, w >> s
     if h2 < 1 or w2 < 1:
-        raise ValueError(f"downsampling by {k} would shrink {h}x{w} below 1x1")
+        raise ValueError(f"downsampling by 2**{s} would shrink {h}x{w} below 1x1")
+    k = 1 << s
     # A column of k uint8 samples sums to at most 255 * k, which fits uint16
     # up to k = 257; other dtypes sum in numpy's default accumulator.
     column_dtype = np.uint16 if frames.dtype == np.uint8 and k <= 257 else None

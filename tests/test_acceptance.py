@@ -204,7 +204,7 @@ def test_criterion_08_regressor_sanity(capsys):
                 x = rng.normal(size=4)
                 dmos = 20.0 + 6.0 * x[0] - 3.0 * x[3]  # noiseless map
                 r, d = f"r{c}", f"d{c}_{k}"
-                rows.append(DatasetRow(f"c{c:02d}", r, d, Fraction(30), "t", dmos))
+                rows.append(DatasetRow(f"c{c:02d}", r, d, Fraction(30), dmos))
                 features[(r, d)] = {"values": x}
         report = run_protocol(rows, features, trials=10, seed=3)
         assert report.srocc > 0.95

@@ -4,6 +4,8 @@ import pytest
 from stgreed.bandpass import (build_packet_filters, check_bank_fits, spatial_ms,
                               temporal_filter, _gaussian_window)
 
+from conftest import padded_loop_filter
+
 
 def test_haar_level1_is_frame_difference():
     bank = build_packet_filters("haar", 1)
@@ -93,31 +95,11 @@ def test_temporal_filter_impulse_response():
         assert abs(out[t] - expect) < 1e-12, t
 
 
-def _temporal_oracle(frames, taps):
-    t_len = frames.shape[0]
-    length = len(taps)
-    delay = length // 2
-    out = np.zeros_like(frames)
-
-    def ext(i):
-        # symmetric half-sample extension
-        period = 2 * t_len
-        i %= period
-        return frames[i] if i < t_len else frames[period - 1 - i]
-
-    for t in range(t_len):
-        acc = np.zeros(frames.shape[1:])
-        for m in range(length):
-            acc += taps[m] * ext(t + delay - m)
-        out[t] = acc
-    return out
-
-
 def test_temporal_filter_matches_naive_convolution(rng):
     frames = rng.uniform(0, 255, size=(32, 8, 8))
     taps = build_packet_filters("haar", 3).filters[3]
     got = temporal_filter(frames, taps).coeffs
-    np.testing.assert_allclose(got, _temporal_oracle(frames, taps), atol=1e-9)
+    np.testing.assert_allclose(got, padded_loop_filter(frames, taps), atol=1e-9)
 
 
 def test_haar_level1_alignment(rng):

@@ -91,6 +91,8 @@ def test_features_frees_each_dist_before_decoding_the_next(video_pair, capsys,
     ("--levels", "0", "levels must be >= 1"),
     ("--patch", "0", "patch size must be >= 1, got 0"),
     ("--scales", "4,-1", "scale exponent must be >= 0"),
+    ("--jobs", "0", "jobs must be >= 1, got 0"),
+    ("--jobs", "-3", "jobs must be >= 1, got -3"),
 ])
 def test_features_rejects_a_bad_config_before_decoding(video_pair, capsys, monkeypatch,
                                                        flag, value, error):
@@ -100,6 +102,30 @@ def test_features_rejects_a_bad_config_before_decoding(video_pair, capsys, monke
     assert main(["features", ref, dist, f"{flag}={value}"]) == 2
     assert error in capsys.readouterr().err
     assert loads == []
+
+
+def test_score_checks_jobs_before_reading_the_model(video_pair, tmp_path, capsys):
+    ref, dist = video_pair
+    argv = ["score", ref, dist, "--model", str(tmp_path / "missing.json"), "--jobs", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["features", "V", "V", "--scales", "20000", "--levels", "1", "--wavelet", "haar"],
+     "downsampling by 2**20000 would shrink 16x16 below 1x1"),
+    (["histdump", "V", "--scale", "20000", "--levels", "1", "--band", "1", "--wavelet", "haar"],
+     "downsampling by 2**20000 would shrink 16x16 below 1x1"),
+    (["features", "V", "V", "--levels", "100000"],
+     "video too short for the temporal filter bank: 100000 levels need at least 2**99998 "
+     "frames, got 4"),
+], ids=["features-scales", "histdump-scale", "features-levels"])
+def test_huge_exponent_exits_2_naming_it(tmp_path, rng, capsys, argv, error):
+    # 2**20000 and 2**100000 have more digits than Python converts to text.
+    path = tmp_path / "v.y4m"
+    write_y4m(path, rng.uniform(0, 255, size=(4, 16, 16)))
+    assert main([str(path) if a == "V" else a for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def _write_ten_bit_twins(stem, codes, fps):
@@ -450,6 +476,19 @@ def test_train_and_eval_negative_seed_exits_2(tmp_path, rng, capsys, cmd, seed):
     assert capsys.readouterr() == ("", f"error: seed must be >= 0, got {seed}\n")
 
 
+@pytest.mark.parametrize("cmd, flag, value, error", [
+    ("eval", "--trials", "0", "trials must be >= 1, got 0"),
+    ("eval", "--seed", "-1", "seed must be >= 0, got -1"),
+    ("train", "--seed", "-1", "seed must be >= 0, got -1"),
+])
+def test_train_and_eval_check_numbers_before_reading_the_manifest(tmp_path, capsys, cmd, flag,
+                                                                  value, error):
+    extra = ["--out", str(tmp_path / "m.json")] if cmd == "train" else []
+    assert main([cmd, "--manifest", str(tmp_path / "missing.csv"),
+                 "--cache", str(tmp_path / "missing.jsonl"), *extra, flag, value]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_train_missing_cache_pairs_listed(tmp_path, rng, capsys):
     manifest, cache = _write_dataset(tmp_path, rng, n_contents=3, per_content=2)
     # drop the first cached record
@@ -506,9 +545,11 @@ def test_histdump_band_out_of_range(tmp_path, rng, capsys):
     (["--band", "9"], "band must be in [1, 7]"),
     (["--levels", "2"], "band must be in [1, 3]"),  # the default --band 4
     (["--levels", "0"], "levels must be >= 1"),
+    (["--levels", "100000", "--band", "0"], "band must be in [1, 2**100000 - 1]"),
     (["--scale", "-1"], "scale exponent must be >= 0"),
     (["--bins", "1"], "need at least 2 bins"),
-], ids=["band-9", "levels-2-default-band-4", "levels-0", "scale--1", "bins-1"])
+], ids=["band-9", "levels-2-default-band-4", "levels-0", "levels-100000-band-0", "scale--1",
+        "bins-1"])
 def test_histdump_checks_band_and_levels_before_decoding(tmp_path, capsys, extra, error):
     assert main(["histdump", str(tmp_path / "missing.y4m"), *extra]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"

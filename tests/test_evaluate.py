@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import stgreed
 from stgreed.evaluate import (DatasetRow, _nelder_mead, dump_histogram,
-                              format_histogram, hfr_vmaf, krocc, logistic,
+                              format_histogram, krocc, logistic,
                               plcc_rmse, read_manifest, run_protocol,
                               split_contents, srocc, train_model)
 from stgreed.svr import _FACE_EVERY, DEFAULT_GRID, grid_search, predict, train_svr
@@ -228,8 +228,7 @@ def _synthetic_dataset(rng, n_contents=10, per_content=6, noise=0.2):
             x = rng.normal(size=16)
             dmos = 20.0 + 6.0 * x[0] + 2.0 * x[3] + rng.normal(0, noise)
             ref, dist = f"r{c}.y4m", f"d{c}_{k}.y4m"
-            rows.append(DatasetRow(f"c{c:02d}", ref, dist, Fraction(30),
-                                   f"v{k}", dmos))
+            rows.append(DatasetRow(f"c{c:02d}", ref, dist, Fraction(30), dmos))
             features[(ref, dist)] = {"values": x}
     return rows, features
 
@@ -278,8 +277,7 @@ cores = int(sys.argv[1])
 os.sched_getaffinity = lambda pid: set(range(cores))  # as the pin_cores fixture does
 from stgreed.evaluate import DatasetRow, run_protocol
 data = json.load(sys.stdin)
-rows = [DatasetRow(c, ref, dist, Fraction(30), tag, dmos)
-        for c, ref, dist, tag, dmos in data["rows"]]
+rows = [DatasetRow(c, ref, dist, Fraction(30), dmos) for c, ref, dist, dmos in data["rows"]]
 features = {(r.ref, r.dist): {"values": v} for r, v in zip(rows, data["values"])}
 print(repr(run_protocol(rows, features, trials=1, seed=2, grid=data["grid"]).per_trial))
 """
@@ -290,7 +288,7 @@ def test_run_protocol_does_not_depend_on_blas_threads_or_cores(rng):
     # thread count taskset changes; their bytes must not follow it. The
     # grid's C = 1000 fit runs long enough to take face steps.
     rows, features = _synthetic_dataset(rng, n_contents=10, per_content=12, noise=5.0)
-    data = {"rows": [(r.content_id, r.ref, r.dist, r.tag, r.dmos) for r in rows],
+    data = {"rows": [(r.content_id, r.ref, r.dist, r.dmos) for r in rows],
             "values": [list(features[(r.ref, r.dist)]["values"]) for r in rows],
             "grid": [(1000.0, 0.1, 2.0 ** -6), (10.0, 2.0, 2.0 ** -6)]}
     src = str(Path(stgreed.__file__).parents[1])
@@ -317,14 +315,6 @@ def test_run_protocol_missing_features(rng):
     del features[(rows[0].ref, rows[0].dist)]
     with pytest.raises(ValueError, match="missing cached features"):
         run_protocol(rows, features, trials=1)
-
-
-def test_hfr_vmaf():
-    assert hfr_vmaf(100.0, 0.0) == 0.0
-    assert hfr_vmaf(0.0, 0.0) == 50.0
-    assert hfr_vmaf(60.0, 30.0) == pytest.approx(35.0)
-    with pytest.raises(ValueError):
-        hfr_vmaf(101.0, 0.0)
 
 
 def test_dump_histogram_zero_coefficients():
@@ -392,7 +382,7 @@ def test_run_protocol_matches_trials_recomputed_by_hand(rng):
         for k in range(versions):
             x = rng.normal(size=16)
             ref, dist = f"r{c}.y4m", f"d{c}_{k}.y4m"
-            rows.append(DatasetRow(content, ref, dist, Fraction(30), f"v{k}",
+            rows.append(DatasetRow(content, ref, dist, Fraction(30),
                                    20.0 + 6.0 * x[0] + 2.0 * x[3] + rng.normal(0, 2.0)))
             features[(ref, dist)] = {"values": x}
     rows = [rows[i] for i in rng.permutation(len(rows))]
@@ -452,8 +442,7 @@ if sys.argv[1] == "block":
     sys.modules["scipy"] = None  # importing scipy or any submodule now fails
 from stgreed.evaluate import DatasetRow, run_protocol
 data = json.load(sys.stdin)
-rows = [DatasetRow(c, ref, dist, Fraction(30), tag, dmos)
-        for c, ref, dist, tag, dmos in data["rows"]]
+rows = [DatasetRow(c, ref, dist, Fraction(30), dmos) for c, ref, dist, dmos in data["rows"]]
 features = {(r.ref, r.dist): {"values": v} for r, v in zip(rows, data["values"])}
 report = run_protocol(rows, features, trials=2, seed=4, grid=data["grid"])
 print(repr(report.per_trial))
@@ -465,7 +454,7 @@ print(" ".join(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy"
 def test_run_protocol_needs_no_scipy(rng, mode):
     rows, features = _synthetic_dataset(rng, n_contents=6, per_content=5)
     grid = [(100.0, 0.1, 0.0625), (10.0, 1.0, 0.25)]
-    data = {"rows": [(r.content_id, r.ref, r.dist, r.tag, r.dmos) for r in rows],
+    data = {"rows": [(r.content_id, r.ref, r.dist, r.dmos) for r in rows],
             "values": [list(features[(r.ref, r.dist)]["values"]) for r in rows],
             "grid": grid}
     src = str(Path(stgreed.__file__).parents[1])

@@ -16,54 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stgreed import ggd
 from stgreed.bandpass import build_packet_filters, spatial_ms, temporal_filter
 from stgreed.features import (EntropyField, GreedConfig, average_reference_entropies,
                               compute_features)
 from stgreed.video import LumaVideo
 
-from conftest import scalar_beta_from_kurtosis
-
-
-def _halve_repeatedly(frames, s):
-    for _ in range(s):
-        t, h, w = frames.shape
-        h2, w2 = h // 2, w // 2
-        frames = frames[:, :2 * h2, :2 * w2].reshape(t, h2, 2, w2, 2).mean(axis=(2, 4))
-    return frames
-
-
-def _kept(n_ref, ref_fps, dist_fps):
-    ratio = Fraction(ref_fps) / Fraction(dist_fps)
-    kept, i = [], 0
-    while int(i * ratio) < n_ref:
-        kept.append(int(i * ratio))
-        i += 1
-    return kept
+from conftest import block_entropies_frame_by_frame, halve_repeatedly, kept_by_floor
 
 
 def _pseudo_reference_copy(frames, ref_fps, dist_fps):
-    return frames[_kept(frames.shape[0], ref_fps, dist_fps)].copy()
-
-
-def _block_entropies_per_frame(frames, noise_var, patch):
-    centered = frames - frames.mean(axis=(1, 2), keepdims=True)
-    m2 = (centered * centered).mean(axis=(1, 2))
-    m4 = (centered ** 4).mean(axis=(1, 2))
-    values, betas = [], []
-    rows, cols = frames.shape[1] // patch, frames.shape[2] // patch
-    for t in range(frames.shape[0]):
-        kurt = m4[t] / (m2[t] * m2[t]) if m2[t] > 0 else 0.0
-        beta = scalar_beta_from_kurtosis(ggd.noisy_moments(m2[t], kurt, noise_var)[1])
-        betas.append(beta)
-        blocks = frames[t, :rows * patch, :cols * patch].reshape(rows, patch, cols, patch)
-        mean = blocks.mean(axis=(1, 3))
-        var_p = ((blocks * blocks).mean(axis=(1, 3)) - mean * mean).ravel()
-        alpha = np.sqrt(var_p + noise_var) * math.sqrt(
-            ggd.gamma_fn(1.0 / beta) / ggd.gamma_fn(3.0 / beta))
-        h = ggd.ggd_entropy(1.0, beta) + np.log(alpha)
-        values.append(np.log1p(var_p + noise_var) * h)
-    return EntropyField(np.array(values), np.array(betas))
+    return frames[kept_by_floor(frames.shape[0], ref_fps, dist_fps)].copy()
 
 
 def _average_per_cell(field, ratio, n_out=None):
@@ -87,13 +49,13 @@ def _oracle_features(ref, dist, cfg):
     videos = (ref.frames, _pseudo_reference_copy(ref.frames, ref.fps, dist.fps), dist.frames)
     out, prev_s = [], 0
     for s in sorted(cfg.scales):
-        videos = tuple(_halve_repeatedly(v, s - prev_s) for v in videos)
+        videos = tuple(halve_repeatedly(v, s - prev_s) for v in videos)
         prev_s = s
         r, p, d = videos
 
         def spatial(frames):
             ms = np.stack([spatial_ms(frames[t]) for t in range(frames.shape[0])])
-            return _block_entropies_per_frame(ms, cfg.noise_var, cfg.patch_size)
+            return block_entropies_frame_by_frame(ms, cfg.noise_var, cfg.patch_size)
 
         theta_r, theta_d = spatial(r), spatial(d)
         n = min(theta_d.values.shape[0], int(theta_r.values.shape[0] / ratio))
@@ -103,8 +65,8 @@ def _oracle_features(ref, dist, cfg):
 
         for taps in bank.filters:
             eps_r, eps_p, eps_d = (
-                _block_entropies_per_frame(temporal_filter(v, taps).coeffs,
-                                           cfg.noise_var, cfg.patch_size)
+                block_entropies_frame_by_frame(temporal_filter(v, taps).coeffs,
+                                               cfg.noise_var, cfg.patch_size)
                 for v in (r, p, d))
             n = min(eps_p.values.shape[0], eps_d.values.shape[0],
                     int(eps_r.values.shape[0] / ratio))
@@ -124,7 +86,7 @@ def test_compute_features_matches_per_frame_oracle(dist_fps, jobs):
     rng = np.random.default_rng(dist_fps)
     # 10-bit-like (non-integer on the 8-bit scale) frames with odd H and W.
     ref = LumaVideo(rng.integers(0, 1024, size=(24, 83, 101)) * (255.0 / 1023.0), 120)
-    dist_frames = ref.frames[_kept(24, 120, dist_fps)]
+    dist_frames = ref.frames[kept_by_floor(24, 120, dist_fps)]
     dist_frames = np.clip(dist_frames + rng.normal(0, 4.0, size=dist_frames.shape), 0, 255)
     dist = LumaVideo(dist_frames, dist_fps)
     cfg = GreedConfig(scales=(2, 3))
@@ -142,7 +104,7 @@ def test_compute_features_short_last_cell_matches_per_frame_oracle():
     # n = floor(47 / 5) = 9 cells, so averaging must stop at frame 45.
     rng = np.random.default_rng(47)
     ref = LumaVideo(rng.integers(0, 1024, size=(47, 83, 101)) * (255.0 / 1023.0), 120)
-    dist_frames = ref.frames[_kept(47, 120, 24)]
+    dist_frames = ref.frames[kept_by_floor(47, 120, 24)]
     dist_frames = np.clip(dist_frames + rng.normal(0, 4.0, size=dist_frames.shape), 0, 255)
     dist = LumaVideo(dist_frames, 24)
     cfg = GreedConfig(scales=(2, 3))

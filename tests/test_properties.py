@@ -15,10 +15,10 @@ from stgreed import ggd
 from stgreed.bandpass import (_MS_WINDOW_1D, WAVELETS, build_packet_filters, spatial_ms,
                               temporal_filter)
 from stgreed.features import GreedConfig, block_entropies, compute_features
-from stgreed.video import (LumaVideo, downsample, kept_indices, load_y4m,
-                           make_pseudo_reference, save_y4m)
+from stgreed.video import LumaVideo, downsample, kept_indices, load_y4m, make_pseudo_reference
 
-from conftest import scalar_beta_from_kurtosis
+from conftest import (block_entropies_frame_by_frame, kept_by_floor, padded_loop_filter,
+                      scalar_beta_from_kurtosis, write_y4m)
 
 _SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -91,26 +91,20 @@ _FRAME_RATES = st.integers(1, 240).flatmap(
 @given(st.integers(1, 5), st.integers(1, 40), st.integers(1, 40), _FRAME_RATES,
        st.integers(0, 2 ** 32 - 1))
 def test_y4m_round_trip_preserves_video(t, h, w, fps, seed):
-    frames = np.random.default_rng(seed).integers(0, 256, size=(t, h, w)).astype(np.float64)
-    v = LumaVideo(frames, fps)
+    frames = np.random.default_rng(seed).integers(0, 256, size=(t, h, w)).astype(np.uint8)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "v.y4m")
-        save_y4m(v, path)
+        write_y4m(path, frames, fps.numerator, fps.denominator)
         back = load_y4m(path)
-    np.testing.assert_array_equal(back.frames, v.frames)
-    assert back.fps == v.fps
+    np.testing.assert_array_equal(back.frames, frames)
+    assert back.fps == fps
 
 
 @_SETTINGS
 @given(st.integers(1, 500), st.integers(1, 240), st.integers(1, 240))
 def test_kept_indices_is_floor_rule(n_ref, a, b):
     ref_fps, dist_fps = max(a, b), min(a, b)
-    ratio = Fraction(ref_fps, dist_fps)
-    expect, i = [], 0
-    while int(i * ratio) < n_ref:
-        expect.append(int(i * ratio))
-        i += 1
-    assert kept_indices(n_ref, ref_fps, dist_fps) == expect
+    assert kept_indices(n_ref, ref_fps, dist_fps) == kept_by_floor(n_ref, ref_fps, dist_fps)
 
 
 @settings(max_examples=15, deadline=None)
@@ -139,18 +133,6 @@ def test_luma_offset_leaves_features_unchanged(t, h, w, ratio, c, seed):
     np.testing.assert_allclose(score(c), score(0.0), rtol=1e-9, atol=0)
 
 
-def _padded_loop_filter(frames, taps):
-    """Half-sample mirror padding, then one shifted multiply-add per tap."""
-    n, length = frames.shape[0], len(taps)
-    delay = length // 2
-    ext = np.pad(frames, ((length - 1, length - 1), (0, 0), (0, 0)), mode="symmetric")
-    out = np.zeros(frames.shape)
-    for m, c in enumerate(taps):
-        start = length - 1 + delay - m
-        out += c * ext[start:start + n]
-    return out
-
-
 @pytest.mark.parametrize("levels", [1, 2, 3])
 @pytest.mark.parametrize("wavelet", WAVELETS)
 @_SETTINGS
@@ -167,7 +149,7 @@ def test_temporal_filter_matches_padded_loop(wavelet, levels, data):
             continue
         bound = 1e-12 * np.abs(frames).max() * np.abs(taps).sum()
         np.testing.assert_allclose(temporal_filter(frames, taps).coeffs,
-                                   _padded_loop_filter(frames, taps), rtol=0, atol=bound)
+                                   padded_loop_filter(frames, taps), rtol=0, atol=bound)
 
 
 
@@ -222,35 +204,6 @@ def test_block_entropies_of_a_stack_equal_separate_calls(b, t, h, w, patch, seed
         assert np.array_equal(got.frame_betas[i], want.frame_betas)
 
 
-def _patch_variances_by_reshape(frames, patch):
-    """The reshape-and-mean patch variances that strided accumulation replaced."""
-    rows, cols = frames.shape[-2] // patch, frames.shape[-1] // patch
-    blocks = frames[..., :rows * patch, :cols * patch].reshape(-1, rows, patch, cols, patch)
-    mean = blocks.mean(axis=(2, 4))
-    sq = (blocks * blocks).mean(axis=(2, 4))
-    return (sq - mean * mean).reshape(*frames.shape[:-2], rows * cols)
-
-
-def _block_entropies_frame_by_frame(frames, noise_var, patch_size):
-    """block_entropies with the scalar β loop over frames that the batched bisection replaced."""
-    var_p = _patch_variances_by_reshape(frames, patch_size)
-    sq = frames - frames.mean(axis=(-2, -1), keepdims=True)
-    m2 = np.square(sq, out=sq).mean(axis=(-2, -1))
-    m4 = np.square(sq, out=sq).mean(axis=(-2, -1))
-    betas, scale, h_unit = np.empty((3, *m2.shape))
-    for i in np.ndindex(m2.shape):
-        kurt = m4[i] / (m2[i] * m2[i]) if m2[i] > 0 else 0.0
-        _, kurt = ggd.noisy_moments(m2[i], kurt, noise_var)
-        betas[i] = scalar_beta_from_kurtosis(kurt)
-        scale[i] = ggd.alpha_from_sigma_beta(1.0, betas[i])
-        h_unit[i] = ggd.ggd_entropy(1.0, betas[i])
-    sigma = np.sqrt(var_p + noise_var)
-    alpha = sigma * scale[..., None]
-    h = h_unit[..., None] + np.log(alpha)
-    gamma = np.log1p(var_p + noise_var)
-    return gamma * h, betas
-
-
 @_SETTINGS
 @given(st.integers(1, 3), st.integers(0, 6), st.integers(1, 30), st.integers(1, 30),
        st.integers(1, 12), st.sampled_from([1e-6, 0.1, 3.0, 100.0]),
@@ -267,9 +220,9 @@ def test_block_entropies_equal_the_frame_by_frame_loop(b, t, h, w, patch, noise_
     stack *= rng.choice([0.0, 1e-3, 1.0, 40.0], size=(b, t, 1, 1))
     stack += rng.choice([0.0, 128.3], size=(b, t, 1, 1))
     got = block_entropies(stack, noise_var, patch)
-    values, betas = _block_entropies_frame_by_frame(stack, noise_var, patch)
-    assert np.array_equal(got.values, values)
-    assert np.array_equal(got.frame_betas, betas)
+    want = block_entropies_frame_by_frame(stack, noise_var, patch)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.frame_betas, want.frame_betas)
 
 
 _EDGE_KURTOSES = [0.0, -0.0, math.inf, -math.inf, 3.0, 6.0,
