@@ -212,7 +212,8 @@ def build_parser():
                        help="dump a subband coefficient histogram as text")
     p.add_argument("input")
     p.add_argument("--band", type=int, default=4, help="subband index (1-based)")
-    p.add_argument("--scale", type=int, default=4, help="spatial scale exponent")
+    p.add_argument("--scale", type=int, default=min(GreedConfig.scales),
+                   help="spatial scale exponent")
     p.add_argument("--bins", type=int, default=101)
     p.add_argument("--wavelet", default=GreedConfig.wavelet, choices=WAVELETS)
     p.add_argument("--levels", type=int, default=GreedConfig.levels)

@@ -310,7 +310,8 @@ def _trial(X, y, masks, grid):
     s, k, fit = srocc(pred, y[test]), krocc(pred, y[test]), plcc_rmse(pred, y[test])
     return {"srocc": s, "krocc": k, "plcc": fit.plcc, "rmse": fit.rmse,
             "hyperparams": model.hyperparams, "smo_iterations": model.smo[0],
-            "smo_converged": model.smo[1], "logistic_converged": fit.converged, **work}
+            "smo_converged": model.smo[1], "smo_gap": model.smo[2],
+            "logistic_converged": fit.converged, **work}
 
 
 def run_protocol(rows, features, trials=200, seed=0, grid=None):
@@ -321,10 +322,10 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
     for a fixed seed; trial RNG streams derive from (seed, trial_index).
     Every split is drawn before the first fit; one too small raises ValueError.
     per_trial also records each trial's chosen (C, epsilon, kernel_gamma),
-    the SMO iterations of its final fit and whether that solve converged,
-    whether its logistic fit converged, and its grid search's solver work
-    (grid_smo_iterations, grid_face_steps, grid_unconverged; see
-    grid_search).
+    the SMO iterations of its final fit, whether that solve converged and
+    its last violating pair's gap (smo_gap), whether its logistic fit
+    converged, and its grid search's solver work (grid_smo_iterations,
+    grid_face_steps, grid_unconverged; see grid_search).
     """
     _check_counts(seed, trials)
     contents = sorted({r.content_id for r in rows})

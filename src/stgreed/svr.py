@@ -8,9 +8,9 @@ import numpy as np
 MODEL_FORMAT = "stgreed-svr"
 MODEL_VERSION = 1
 _SMO_TOL = 1e-3  # the SMO loop stops once the violating pair's gap is at most this
-_FACE_EVERY = 2000  # SMO steps between two face steps
-_FACE_ROUNDS = 50   # blocked moves, each pinning one row, per face step
-_CG_ITERS = 40      # kernel matvecs per round of a face step's conjugate gradients
+_FACE_EVERY = 300  # SMO steps between two face steps
+_FACE_ROUNDS = 10  # blocked moves, each pinning one row, per face step
+_CG_ITERS = 20     # kernel matvecs per round of a face step's conjugate gradients
 
 DEFAULT_GRID = [(C, eps, g)
                 for C in (1.0, 10.0, 100.0, 1000.0)
@@ -27,7 +27,7 @@ class SvrModel:
     feature_scale: np.ndarray
     hyperparams: tuple           # (C, epsilon, kernel_gamma)
     fingerprint: str = ""
-    smo: tuple = None            # (iterations, converged) of the fit; not saved
+    smo: tuple = None            # (iterations, converged, last gap) of the fit; not saved
 
 
 def _sq_dist(a, b):
@@ -117,7 +117,23 @@ def _face_step(K, y, C, epsilon, beta):
     return None
 
 
-def _solve_smo(K, y, C, epsilon, max_iter=200000):
+def _smo_state(beta, K_beta, y, C, epsilon):
+    """_solve_smo's loop state for beta: lam and the (2, 2n) masked scores.
+
+    v = u - epsilon on the alpha half and u + epsilon on the alpha* half,
+    with u = y - K beta; see _solve_smo for the masks.
+    """
+    alpha = np.maximum(beta, 0.0)
+    alpha_s = alpha - beta  # = max(-beta, 0), exactly
+    u = y - K_beta
+    scores = np.array([np.concatenate([np.where(alpha < C, u - epsilon, -np.inf),
+                                       np.where(alpha_s > 0.0, u + epsilon, -np.inf)]),
+                       np.concatenate([np.where(alpha > 0.0, u - epsilon, np.inf),
+                                       np.where(alpha_s < C, u + epsilon, np.inf)])])
+    return alpha.tolist() + alpha_s.tolist(), scores
+
+
+def _solve_smo(K, y, C, epsilon, max_iter=200000, beta0=None):
     """Two-coordinate dual ascent with most-violating-pair selection.
 
     The variables are the stacked (alpha, alpha*) vector lam, each entry
@@ -151,23 +167,23 @@ def _solve_smo(K, y, C, epsilon, max_iter=200000):
     most rows strictly inside their box. So after every _FACE_EVERY steps
     the loop takes one face step (_face_step) and, if that lowered the
     dual objective, rebuilds lam and both score copies from the new beta
-    and K @ beta; the pair steps then go on from there. A fit of fewer than
-    _FACE_EVERY steps takes no face step, and one of `iterations` steps
-    takes iterations // _FACE_EVERY of them.
+    and K @ beta (_smo_state); the pair steps then go on from there. A fit
+    of fewer than _FACE_EVERY steps takes no face step, and one of
+    `iterations` steps takes iterations // _FACE_EVERY of them.
 
-    Returns (beta, bias, iterations, converged) with beta = alpha - alpha*;
-    converged is True when the loop stopped on gap <= _SMO_TOL, False when
-    it ran out of max_iter steps.
+    The loop starts from beta0, or from beta = 0 when it is None. beta0
+    must be feasible for this C: |beta0| <= C and sum(beta0) = 0, as any
+    solution for the same K, y and C is, whatever its epsilon.
+
+    Returns (beta, bias, iterations, gap) with beta = alpha - alpha* and
+    gap the last violating pair's; the loop stopped on gap <= _SMO_TOL
+    (converged) or ran out of max_iter steps.
     """
     n = len(y)
     Kr = np.ascontiguousarray(K.T)  # Kr[p] is column p of K, read as a row
     diag = K.diagonal().tolist()
-    lam = [0.0] * (2 * n)
-    # v = -s * G with G_t = s_t * ((K beta)_p - y_p) + epsilon; at beta = 0
-    # the up set is the alpha half and the low set the alpha* half
-    v = -np.concatenate([np.ones(n), -np.ones(n)]) * (np.concatenate([-y, y]) + epsilon)
-    scores = np.array([np.concatenate([v[:n], np.full(n, -np.inf)]),
-                       np.concatenate([np.full(n, np.inf), v[n:]])])
+    beta = np.zeros(n) if beta0 is None else beta0
+    lam, scores = _smo_state(beta, K @ beta, y, C, epsilon)
     v_up, v_low = scores
     halves = scores.reshape(4, n)
 
@@ -176,14 +192,7 @@ def _solve_smo(K, y, C, epsilon, max_iter=200000):
             lam_a = np.array(lam)
             face = _face_step(K, y, C, epsilon, lam_a[:n] - lam_a[n:])
             if face is not None:
-                beta, K_beta = face
-                alpha, alpha_s = np.maximum(beta, 0.0), np.maximum(-beta, 0.0)
-                lam = alpha.tolist() + alpha_s.tolist()
-                u = y - K_beta  # v = u - epsilon on the alpha half, u + epsilon on alpha*
-                v_up[:n] = np.where(alpha < C, u - epsilon, -np.inf)
-                v_up[n:] = np.where(alpha_s > 0.0, u + epsilon, -np.inf)
-                v_low[:n] = np.where(alpha > 0.0, u - epsilon, np.inf)
-                v_low[n:] = np.where(alpha_s < C, u + epsilon, np.inf)
+                lam, scores[:] = _smo_state(*face, y, C, epsilon)
         i, j = int(v_up.argmax()), int(v_low.argmin())
         gap = v_up.item(i) - v_low.item(j)
         if it == max_iter or gap <= _SMO_TOL:
@@ -210,7 +219,7 @@ def _solve_smo(K, y, C, epsilon, max_iter=200000):
             v_low[j] = np.inf
 
     lam = np.array(lam)
-    return lam[:n] - lam[n:], float(0.5 * (v_up[i] + v_low[j])), it, gap <= _SMO_TOL
+    return lam[:n] - lam[n:], float(0.5 * (v_up[i] + v_low[j])), it, gap
 
 
 def _standardize(features, labels):
@@ -226,15 +235,16 @@ def _standardize(features, labels):
     return (X - shift) / scale, y, shift, scale
 
 
-def _fit(K, Xn, y, shift, scale, hyperparams, fingerprint=""):
+def _fit(K, Xn, y, shift, scale, hyperparams, fingerprint="", beta0=None):
+    """Fit one model on kernel K, from beta0 (see _solve_smo); returns (model, beta)."""
     C, epsilon, gamma = hyperparams
     if np.ptp(y) == 0.0:
         return SvrModel(np.zeros((0, Xn.shape[1])), np.zeros(0), float(y[0]), shift, scale,
-                        (C, epsilon, gamma), fingerprint, (0, True))
-    beta, bias, iterations, converged = _solve_smo(K, y, C, epsilon)
+                        (C, epsilon, gamma), fingerprint, (0, True, 0.0)), np.zeros(len(y))
+    beta, bias, iterations, gap = _solve_smo(K, y, C, epsilon, beta0=beta0)
     sv = np.abs(beta) > 1e-12
-    return SvrModel(Xn[sv].copy(), beta[sv].copy(), bias, shift, scale,
-                    (C, epsilon, gamma), fingerprint, (iterations, converged))
+    return SvrModel(Xn[sv].copy(), beta[sv].copy(), bias, shift, scale, (C, epsilon, gamma),
+                    fingerprint, (iterations, gap <= _SMO_TOL, gap)), beta
 
 
 def train_svr(features, labels, hyperparams, fingerprint=""):
@@ -242,11 +252,11 @@ def train_svr(features, labels, hyperparams, fingerprint=""):
 
     hyperparams is (C, epsilon, kernel_gamma). A degenerate all-equal label
     set yields a constant-predicting model with no support vectors, which
-    reports 0 SMO iterations and converged.
+    reports 0 SMO iterations, converged and a gap of 0.
     """
     Xn, y, shift, scale = _standardize(features, labels)
     hp = tuple(float(v) for v in hyperparams)
-    return _fit(_rbf(hp[2], Xn, Xn), Xn, y, shift, scale, hp, fingerprint)
+    return _fit(_rbf(hp[2], Xn, Xn), Xn, y, shift, scale, hp, fingerprint)[0]
 
 
 def predict(model, x):
@@ -263,22 +273,28 @@ def predict(model, x):
     return float(out[0]) if single else out
 
 
-def _grid_point(fits, k):
-    """Fit grid point k on the shared training rows; returns (k, its key, the fit's smo).
+def _grid_chain(fits, chain):
+    """Fit the grid points chain lists, each from the last one's beta; returns [(k, key, smo)].
 
-    fits is (dist, Xn, y, shift, scale, X_val, y_val, points, kernel), and
-    kernel holds exp(-gamma * dist) for the last gamma this process fitted.
+    The points of a chain share C and gamma, so each fit's solution is a
+    feasible start for the next (see _solve_smo). fits is (dist, Xn, y,
+    shift, scale, X_val, y_val, points, kernel), and kernel holds
+    exp(-gamma * dist) for the last gamma this process fitted.
     """
     from .evaluate import srocc
 
     dist, Xn, y, shift, scale, X_val, y_val, points, kernel = fits
-    C, epsilon, gamma = hp = points[k]
+    gamma = points[chain[0]][2]
     if gamma not in kernel:
         kernel.clear()  # free the last gamma's kernel before building this one
         kernel[gamma] = np.exp(-gamma * dist)
-    model = _fit(kernel[gamma], Xn, y, shift, scale, hp)
-    score = srocc(predict(model, X_val), y_val)
-    return k, (-np.inf if score is None else score, -C, epsilon), model.smo
+    out, beta = [], None
+    for k in chain:
+        C, epsilon, _ = hp = points[k]
+        model, beta = _fit(kernel[gamma], Xn, y, shift, scale, hp, beta0=beta)
+        score = srocc(predict(model, X_val), y_val)
+        out.append((k, (-np.inf if score is None else score, -C, epsilon), model.smo))
+    return out
 
 
 _worker_fits = None  # a pool worker's grid_search arguments, set at its start
@@ -289,12 +305,12 @@ def _init_worker(fits):
     _worker_fits = fits
 
 
-def _pooled_grid_point(k):
-    return _grid_point(_worker_fits, k)
+def _pooled_grid_chain(chain):
+    return _grid_chain(_worker_fits, chain)
 
 
-def _fit_points(fits, order, jobs):
-    """Yield _grid_point's (k, key, smo) for each k in order.
+def _fit_chains(fits, chains, jobs):
+    """Yield _grid_chain's list for each chain in chains, in that order.
 
     With jobs > 1 the fits run in that many forked processes, which inherit
     fits instead of unpickling it. They run here where the platform cannot
@@ -311,18 +327,20 @@ def _fit_points(fits, order, jobs):
             # multiprocessing.Pool would wait for its result forever.
             with ProcessPoolExecutor(jobs, multiprocessing.get_context("fork"),
                                      initializer=_init_worker, initargs=(fits,)) as pool:
-                yield from pool.map(_pooled_grid_point, order)
+                yield from pool.map(_pooled_grid_chain, chains)
             return
-    for k in order:
-        yield _grid_point(fits, k)
+    for chain in chains:
+        yield _grid_chain(fits, chain)
 
 
 def grid_search(train_xy, val_xy, grid=None, work=None):
     """Pick the (C, epsilon, kernel_gamma) maximizing validation rank correlation.
 
-    Ties break toward smaller C, then larger epsilon. One worker process per
-    core this process may run on (os.sched_getaffinity; 1 where the platform
-    cannot tell), and no more than the grid has points, fits the grid points,
+    Ties break toward smaller C, then larger epsilon. The points of one
+    (C, kernel_gamma) are fitted as one chain, in descending epsilon, each
+    fit starting from the last one's solution. One worker process per core
+    this process may run on (os.sched_getaffinity; 1 where the platform
+    cannot tell), and no more than the grid has chains, fits the chains,
     the slowest first. The pick does not depend on the worker count.
 
     A dict passed as work receives the solver's work summed over the grid's
@@ -340,19 +358,25 @@ def grid_search(train_xy, val_xy, grid=None, work=None):
     Xn, y, shift, scale = _standardize(*train_xy)
     # Every fit trains on the same rows: standardize them and take their
     # squared distances once. Small gamma, then large C, takes the most SMO
-    # steps: fit in that order, so that the last fit to finish is a short
-    # one and each process builds each gamma's kernel once, holding one.
+    # steps: fit the chains in that order, so that the last to finish is a
+    # short one and each process builds each gamma's kernel once, holding
+    # one. A chain runs in descending epsilon, which took fewer SMO steps
+    # than ascending on the protocol table.
     points = [tuple(float(v) for v in hp) for hp in grid]
+    chains = {}
+    for k in sorted(range(len(points)),
+                    key=lambda k: (points[k][2], -points[k][0], -points[k][1])):
+        chains.setdefault(points[k][::2], []).append(k)  # (C, gamma)
     fits = (_sq_dist(Xn, Xn), Xn, y, shift, scale, X_val, y_val, points, {})
-    order = sorted(range(len(points)), key=lambda k: (points[k][2], -points[k][0]))
     keys, smo = [None] * len(grid), []
-    for k, key, fit_smo in _fit_points(fits, order, min(jobs, len(points))):
-        keys[k] = key
-        smo.append(fit_smo)
+    for fitted in _fit_chains(fits, list(chains.values()), min(jobs, len(chains))):
+        for k, key, fit_smo in fitted:
+            keys[k] = key
+            smo.append(fit_smo)
     if work is not None:
-        work.update(grid_smo_iterations=sum(it for it, _ in smo),
-                    grid_face_steps=sum(it // _FACE_EVERY for it, _ in smo),
-                    grid_unconverged=sum(not converged for _, converged in smo))
+        work.update(grid_smo_iterations=sum(it for it, _, _ in smo),
+                    grid_face_steps=sum(it // _FACE_EVERY for it, _, _ in smo),
+                    grid_unconverged=sum(not converged for _, converged, _ in smo))
     best = max(range(len(grid)), key=keys.__getitem__)  # the first entry of a full tie
     return tuple(grid[best])
 

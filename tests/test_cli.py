@@ -576,6 +576,7 @@ def test_config_flag_defaults_are_greed_config(argv):
 def test_histdump_defaults_are_greed_config():
     args = build_parser().parse_args(["histdump", "v.y4m"])
     assert (args.wavelet, args.levels) == (GreedConfig().wavelet, GreedConfig().levels)
+    assert args.scale == min(GreedConfig().scales)
 
 
 def test_eval_json_reports_per_trial_fit_details(tmp_path, rng, capsys):
@@ -583,7 +584,9 @@ def test_eval_json_reports_per_trial_fit_details(tmp_path, rng, capsys):
     report_path = tmp_path / "report.json"
     assert main(["eval", "--manifest", manifest, "--cache", cache,
                  "--trials", "2", "--json", str(report_path)]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out.splitlines()  # stdout has the medians only
+    assert [line.split("\t")[0] for line in out] == ["SROCC", "KROCC", "PLCC", "RMSE",
+                                                     f"report written to {report_path}"]
     per_trial = json.loads(report_path.read_text())["per_trial"]
     assert [len(hp) for hp in per_trial["hyperparams"]] == [3, 3]
     assert all(isinstance(c, bool) for c in per_trial["logistic_converged"])
@@ -591,6 +594,8 @@ def test_eval_json_reports_per_trial_fit_details(tmp_path, rng, capsys):
     assert len(per_trial["smo_iterations"]) == 2
     assert all(isinstance(k, int) and k > 0 for k in per_trial["smo_iterations"])
     assert [type(c) for c in per_trial["smo_converged"]] == [bool, bool]
+    assert all(isinstance(g, float) and g <= svr._SMO_TOL for g in per_trial["smo_gap"])
+    assert len(per_trial["smo_gap"]) == 2
 
 
 def test_features_on_clip_shorter_than_filter_bank_exits_2(tmp_path, rng, capsys):

@@ -402,10 +402,10 @@ def test_run_protocol_matches_trials_recomputed_by_hand(rng):
         want = {"srocc": srocc(pred, y_te), "krocc": krocc(pred, y_te),
                 "plcc": fit.plcc, "rmse": fit.rmse, "hyperparams": model.hyperparams,
                 "smo_iterations": model.smo[0], "smo_converged": model.smo[1],
-                "logistic_converged": fit.converged,
-                "grid_smo_iterations": sum(it for it, _ in grid_smo),
-                "grid_face_steps": sum(it // _FACE_EVERY for it, _ in grid_smo),
-                "grid_unconverged": sum(not converged for _, converged in grid_smo)}
+                "smo_gap": model.smo[2], "logistic_converged": fit.converged,
+                "grid_smo_iterations": sum(it for it, _, _ in grid_smo),
+                "grid_face_steps": sum(it // _FACE_EVERY for it, _, _ in grid_smo),
+                "grid_unconverged": sum(not converged for _, converged, _ in grid_smo)}
         assert {key: values[trial] for key, values in per_trial.items()} == want
     assert list(per_trial) == list(want)
 

@@ -27,7 +27,7 @@ def test_constant_labels_constant_model(rng):
     X = rng.normal(size=(10, 3))
     model = train_svr(X, np.full(10, 42.0), (10.0, 0.1, 0.5))
     assert len(model.dual_coeffs) == 0
-    assert model.smo == (0, True)
+    assert model.smo == (0, True, 0.0)
     assert predict(model, rng.normal(size=3)) == 42.0
     assert np.all(predict(model, rng.normal(size=(5, 3))) == 42.0)
 
@@ -156,11 +156,12 @@ def test_grid_search_reports_its_fits_work(monkeypatch, pin_cores, rng):
     train_xy, val_xy = _toy_problem(rng, n=60), _toy_problem(rng, n=20)
     grid = [(1000.0, 0.01, 2.0 ** -4), (1000.0, 0.1, 2.0 ** -6), (1.0, 0.1, 0.5)]
     solve = svr._solve_smo  # cap the fits so that the first stops unconverged
-    monkeypatch.setattr(svr, "_solve_smo", lambda *args: solve(*args, max_iter=10000))
+    monkeypatch.setattr(svr, "_solve_smo", lambda *a, **kw: solve(*a, **kw, max_iter=10000))
     smo = [train_svr(*train_xy, point).smo for point in grid]
-    assert smo[0] == (10000, False) and smo[1][0] > _FACE_EVERY and smo[2][0] < _FACE_EVERY
-    want = {"grid_smo_iterations": sum(it for it, _ in smo),
-            "grid_face_steps": sum(it // _FACE_EVERY for it, _ in smo), "grid_unconverged": 1}
+    assert smo[0][:2] == (10000, False) and smo[0][2] > _SMO_TOL
+    assert smo[1][0] > _FACE_EVERY and smo[2][0] < _FACE_EVERY
+    want = {"grid_smo_iterations": sum(it for it, _, _ in smo),
+            "grid_face_steps": sum(it // _FACE_EVERY for it, _, _ in smo), "grid_unconverged": 1}
     for cores in (1, 2):
         pin_cores(cores)
         work = {}
@@ -211,8 +212,8 @@ import os
 import numpy as np
 from stgreed import svr
 os.sched_getaffinity = lambda pid: {0, 1}
-fit = svr._grid_point
-svr._grid_point = lambda fits, k: os._exit(1) if k == 0 else fit(fits, k)
+fit = svr._grid_chain
+svr._grid_chain = lambda fits, chain: os._exit(1) if 0 in chain else fit(fits, chain)
 X = np.random.default_rng(0).normal(size=(30, 4))
 svr.grid_search((X, X[:, 0]), (X, X[:, 0]), svr.DEFAULT_GRID[::7])
 """
@@ -308,11 +309,12 @@ def test_solve_smo_reports_iterations_and_convergence(rng):
     X, y = _toy_problem(rng, n=30)
     Xn = (X - X.mean(axis=0)) / X.std(axis=0)  # as train_svr standardizes
     K = _rbf(0.5, Xn, Xn)
-    assert _solve_smo(K, y, 10.0, 0.1, max_iter=1)[2:] == (1, False)
-    _, _, iterations, converged = _solve_smo(K, y, 10.0, 0.1)
-    assert converged and 1 < iterations < 200000
+    _, _, iterations, gap = _solve_smo(K, y, 10.0, 0.1, max_iter=1)
+    assert iterations == 1 and gap > _SMO_TOL
+    _, _, iterations, gap = _solve_smo(K, y, 10.0, 0.1)
+    assert gap <= _SMO_TOL and 1 < iterations < 200000
     model = train_svr(X, y, (10.0, 0.1, 0.5))
-    assert model.smo == (iterations, True)
+    assert model.smo == (iterations, True, gap)
 
 
 def _reference_smo(K, y, C, epsilon, tol=1e-3, max_iter=200000):
@@ -391,8 +393,8 @@ def _kkt_gap(K, y, C, epsilon, beta):
     return up.max() - low.min()
 
 
-def _assert_smo_contract(K, y, C, epsilon, beta_ref):
-    """_solve_smo's solution is feasible, optimal to _SMO_TOL and no worse than beta_ref.
+def _assert_smo_contract(K, y, C, epsilon, beta_ref, beta0=None):
+    """_solve_smo's fit from beta0 is feasible, optimal to _SMO_TOL and no worse than beta_ref.
 
     The slacks: the loop steers by scores it updates in place, so the gap
     recomputed from K @ beta may differ from the one it stopped on by their
@@ -400,8 +402,8 @@ def _assert_smo_contract(K, y, C, epsilon, beta_ref):
     stop at a gap of _SMO_TOL, not at the optimum, so either dual objective
     may be the lower by a little (1e-8 relative).
     """
-    beta, _, _, converged = _solve_smo(K, y, C, epsilon)
-    assert converged
+    beta, _, _, gap = _solve_smo(K, y, C, epsilon, beta0=beta0)
+    assert gap <= _SMO_TOL
     assert np.abs(beta).max() <= C * (1.0 + 1e-12)  # alpha = max(beta, 0), alpha* = max(-beta, 0)
     assert abs(beta.sum()) <= 1e-14 * C * len(y)
     assert _kkt_gap(K, y, C, epsilon, beta) <= _SMO_TOL + 1e-6
@@ -440,7 +442,7 @@ def test_solve_smo_keeps_its_contract_past_a_face_step(n, d, n_dup, C, eps, gamm
     # above), so it finds them at a tenth of the reference's cost.
     assume(max_iter is None)
     K, y = _smo_problem(n, d, n_dup, gamma, seed)
-    assume(not _solve_smo(K, y, C, eps, max_iter=_FACE_EVERY - 1)[3])
+    assume(_solve_smo(K, y, C, eps, max_iter=_FACE_EVERY - 1)[3] > _SMO_TOL)
     beta_ref, _, steps = _reference_smo(K, y, C, eps)
     assert steps >= _FACE_EVERY
     _assert_smo_contract(K, y, C, eps, beta_ref)
@@ -455,3 +457,18 @@ def test_solve_smo_contract_on_ill_conditioned_kernels(n, d, n_dup, gamma, seed)
     K, y = _smo_problem(n, d, n_dup, gamma, seed)
     beta_ref, _, _ = _reference_smo(K, y, 1000.0, 0.0)
     _assert_smo_contract(K, y, 1000.0, 0.0, beta_ref)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 80), st.integers(1, 5), st.integers(0, 40),
+       st.sampled_from([0.1, 10.0, 1000.0]), st.sampled_from([0.0, 0.1, 1.0, 2.0]),
+       st.sampled_from([0.0, 0.1, 1.0, 2.0]), st.sampled_from([0.01, 0.5, 4.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_solve_smo_keeps_its_contract_from_another_epsilons_solution(n, d, n_dup, C, eps_from,
+                                                                      eps, gamma, seed):
+    # grid_search starts each fit of a chain from the solution at the same K
+    # and C and another epsilon; the result must be as good as a cold fit's.
+    K, y = _smo_problem(n, d, n_dup, gamma, seed)
+    beta0 = _solve_smo(K, y, C, eps_from)[0]
+    beta_ref, _, _ = _reference_smo(K, y, C, eps)
+    _assert_smo_contract(K, y, C, eps, beta_ref, beta0=beta0)
