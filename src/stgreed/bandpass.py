@@ -33,6 +33,7 @@ _WAVELETS = {
     "bior2.2": (_BIOR22_LO, _BIOR22_HI),
 }
 WAVELETS = tuple(_WAVELETS)
+_PRINTABLE_LEVELS = 64  # past this, counts of about 2**levels are too long to print
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,18 @@ def check_bank_fits(wavelet_name, levels, n_frames):
     lo, _ = _analysis_pair(wavelet_name, levels)
     length = (len(lo) - 1) * (2 ** levels - 1) + 1
     if 4 * n_frames < length:
-        if levels > 64:  # counts too long to print
+        if levels > _PRINTABLE_LEVELS:
             raise ValueError(f"video too short for the temporal filter bank: {levels} levels "
                              f"need at least 2**{levels - 2} frames, got {n_frames}")
         raise ValueError(f"video too short for the temporal filter bank: {length} taps "
                          f"need at least {-(-length // 4)} frames, got {n_frames}")
+
+
+def check_band(levels, band):
+    """Reject a 1-based band index outside the 2**levels - 1 bands of the bank."""
+    if not 1 <= band < 2 ** levels:
+        top = 2 ** levels - 1 if levels <= _PRINTABLE_LEVELS else f"2**{levels} - 1"
+        raise ValueError(f"band must be in [1, {top}]")
 
 
 def build_packet_filters(wavelet_name, levels):

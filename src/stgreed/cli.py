@@ -6,14 +6,25 @@ import os
 import sys
 
 from . import evaluate, svr
-from .bandpass import WAVELETS, build_packet_filters, check_bank_fits, temporal_filter
-from .features import (GreedConfig, _check_jobs, append_cache_record, compute_features,
-                       read_cache)
-from .video import VideoFormatError, downsample, load_raw_yuv, load_y4m
+from .bandpass import WAVELETS, build_packet_filters, check_band, check_bank_fits, temporal_filter
+from .features import GreedConfig, _check_jobs, append_cache_record, compute_features, read_cache
+from .video import PIXEL_FORMATS, VideoFormatError, downsample, load_raw_yuv, load_y4m
 
 
 class FingerprintMismatch(Exception):
     pass
+
+
+def _default(fn, name):
+    """The library's default for fn's parameter name, so the CLI states no copy of it."""
+    import inspect
+    return inspect.signature(fn).parameters[name].default
+
+
+def _check_out_dir(path):
+    """Reject an output path (None for none) whose directory does not exist."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"cannot write {path}: no such directory")
 
 
 def _scales(text):
@@ -37,9 +48,8 @@ def _add_video_args(p):
     p.add_argument("--width", type=int, help="frame width (raw YUV inputs only)")
     p.add_argument("--height", type=int, help="frame height (raw YUV inputs only)")
     p.add_argument("--fps", help="frame rate, e.g. 120 or 30000/1001 (raw YUV inputs only)")
-    p.add_argument("--pixel-format", default="yuv420p",
-                   choices=["yuv420p", "yuv420p10le"],
-                   help="raw YUV pixel format")
+    p.add_argument("--pixel-format", default=_default(load_raw_yuv, "pixel_format"),
+                   choices=PIXEL_FORMATS, help="raw YUV pixel format")
 
 
 def _config(args):
@@ -52,8 +62,7 @@ def _load_video(path, args, fps_override=None):
     if not os.path.exists(path):
         raise VideoFormatError(f"input file does not exist: {path}")
     if path.lower().endswith(".y4m"):
-        v = load_y4m(path)
-        return v
+        return load_y4m(path)
     if args.width is None or args.height is None or (args.fps is None and fps_override is None):
         raise VideoFormatError(
             f"{path}: raw YUV input needs --width, --height and --fps")
@@ -64,6 +73,7 @@ def _load_video(path, args, fps_override=None):
 def cmd_features(args):
     cfg = _config(args)
     _check_jobs(args.jobs)
+    _check_out_dir(args.cache)
     ref = _load_video(args.ref, args)
     for i, path in enumerate(args.dist):
         # Bind no name to the distorted video, so it is freed before the next
@@ -108,6 +118,7 @@ def _load_dataset(args, cfg):
 def cmd_train(args):
     cfg = _config(args)
     evaluate._check_counts(args.seed)
+    _check_out_dir(args.out)
     rows, features = _load_dataset(args, cfg)
     model = evaluate.train_model(rows, features, seed=args.seed,
                                  fingerprint=cfg.fingerprint())
@@ -121,30 +132,25 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = _config(args)
     evaluate._check_counts(args.seed, args.trials)
+    _check_out_dir(args.json)
     rows, features = _load_dataset(args, cfg)
     report = evaluate.run_protocol(rows, features, trials=args.trials, seed=args.seed)
-    for name in ("srocc", "krocc", "plcc", "rmse"):
-        value = getattr(report, name)
+    medians = {name: getattr(report, name) for name in ("srocc", "krocc", "plcc", "rmse")}
+    for name, value in medians.items():
         print(f"{name.upper()}\t{'n/a' if value is None else f'{value:.4f}'}")
     if args.json:
         with open(args.json, "w") as f:
-            json.dump({"median": {n: getattr(report, n) for n in
-                                  ("srocc", "krocc", "plcc", "rmse")},
-                       "n_trials": report.n_trials,
+            json.dump({"median": medians, "n_trials": report.n_trials,
                        "per_trial": report.per_trial}, f, indent=1)
         print(f"report written to {args.json}")
     return 0
 
 
 def cmd_histdump(args):
-    # A bad wavelet, level count or scale is rejected before decoding.
+    # A bad wavelet, level count, scale, band or bin count is rejected before decoding.
     GreedConfig(wavelet=args.wavelet, levels=args.levels, scales=(args.scale,))
-    n_bands = 2 ** args.levels - 1
-    if not 1 <= args.band <= n_bands:
-        top = n_bands if args.levels <= 64 else f"2**{args.levels} - 1"  # too long to print
-        raise ValueError(f"band must be in [1, {top}]")
-    if args.bins < 2:
-        raise ValueError("need at least 2 bins")
+    check_band(args.levels, args.band)
+    evaluate._check_counts(bins=args.bins)
     video = _load_video(args.input, args)
     check_bank_fits(args.wavelet, args.levels, video.num_frames)
     video = downsample(video, args.scale)
@@ -162,6 +168,7 @@ def build_parser():
                     "of possibly differing frame rates.")
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
+    jobs = _default(compute_features, "jobs")
 
     p = sub.add_parser("features", formatter_class=fmt,
                        help="compute the 16-D feature vector for a video pair, "
@@ -170,7 +177,7 @@ def build_parser():
     p.add_argument("dist", nargs="+",
                    help="distorted videos, each scored against REF in turn")
     p.add_argument("--dist-fps", help="frame rate of every distorted video (raw input)")
-    p.add_argument("--jobs", type=int, default=1, help="worker count")
+    p.add_argument("--jobs", type=int, default=jobs, help="worker count")
     p.add_argument("--format", default="text", choices=["text", "csv"])
     p.add_argument("--cache", help="append one record per DIST to this feature cache file")
     p.add_argument("--content-id", help="content id recorded in the cache for every DIST")
@@ -184,7 +191,7 @@ def build_parser():
     p.add_argument("dist")
     p.add_argument("--model", required=True)
     p.add_argument("--dist-fps", help="frame rate of the distorted video (raw input)")
-    p.add_argument("--jobs", type=int, default=1, help="worker count")
+    p.add_argument("--jobs", type=int, default=jobs, help="worker count")
     _add_config_args(p)
     _add_video_args(p)
     p.set_defaults(func=cmd_score)
@@ -194,7 +201,7 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_default(evaluate.train_model, "seed"))
     _add_config_args(p)
     p.set_defaults(func=cmd_train)
 
@@ -202,8 +209,8 @@ def build_parser():
                        help="run the randomized split evaluation protocol")
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache", required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=_default(evaluate.run_protocol, "trials"))
+    p.add_argument("--seed", type=int, default=_default(evaluate.run_protocol, "seed"))
     p.add_argument("--json", help="also write a machine-readable report here")
     _add_config_args(p)
     p.set_defaults(func=cmd_eval)

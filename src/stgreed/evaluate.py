@@ -53,8 +53,6 @@ def _finite_pair(x, y):
 
 
 def _pearson(x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     xc = x - x.mean()
     yc = y - y.mean()
     denom = np.sqrt(np.sum(xc * xc) * np.sum(yc * yc))
@@ -252,12 +250,15 @@ def split_contents(contents, rng):
 
 
 def _table(rows, features):
-    """Content ids, feature matrix and DMOS of every manifest row, in manifest order."""
+    """Sorted content ids (a split needs 3), then each row's content id, features and DMOS."""
+    contents = sorted({r.content_id for r in rows})
+    if len(contents) < 3:
+        raise ValueError(f"need at least 3 contents, got {len(contents)}")
     missing = [(r.ref, r.dist) for r in rows if (r.ref, r.dist) not in features]
     if missing:
         listing = "\n".join(f"  {ref} / {dist}" for ref, dist in missing)
         raise ValueError(f"missing cached features for {len(missing)} pairs:\n{listing}")
-    return ([r.content_id for r in rows],
+    return (contents, [r.content_id for r in rows],
             np.array([features[(r.ref, r.dist)]["values"] for r in rows]),
             np.array([r.dmos for r in rows]))
 
@@ -275,12 +276,14 @@ def _masks(ids, where, **parts):
     return masks
 
 
-def _check_counts(seed, trials=1):
-    """The protocol's checks of its trial count and seed, which need no input."""
+def _check_counts(seed=0, trials=1, bins=2):
+    """Checks of counts that need no input: the protocol's trials and seed, a histogram's bins."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if bins < 2:
+        raise ValueError("need at least 2 bins")
 
 
 def train_model(rows, features, seed=0, grid=None, fingerprint=""):
@@ -290,10 +293,7 @@ def train_model(rows, features, seed=0, grid=None, fingerprint=""):
     search trains on its train and test parts and scores on validation.
     """
     _check_counts(seed)
-    ids, X, y = _table(rows, features)
-    contents = sorted({r.content_id for r in rows})
-    if len(contents) < 3:
-        raise ValueError("need at least 3 contents to tune hyperparameters")
+    contents, ids, X, y = _table(rows, features)
     train, val, test = split_contents(contents, np.random.default_rng([seed, 0]))
     fit, val = _masks(ids, "tuning split", training=train | test, validation=val)
     hp = grid_search((X[fit], y[fit]), (X[val], y[val]), grid)
@@ -328,10 +328,7 @@ def run_protocol(rows, features, trials=200, seed=0, grid=None):
     grid_face_steps, grid_unconverged; see grid_search).
     """
     _check_counts(seed, trials)
-    contents = sorted({r.content_id for r in rows})
-    if len(contents) < 3:
-        raise ValueError(f"need at least 3 contents, got {len(contents)}")
-    ids, X, y = _table(rows, features)
+    contents, ids, X, y = _table(rows, features)
     splits = [split_contents(contents, np.random.default_rng([seed, t])) for t in range(trials)]
     masks = [_masks(ids, f"trial {t}", training=train, validation=val, test=test)
              for t, (train, val, test) in enumerate(splits)]
@@ -350,8 +347,7 @@ def dump_histogram(coeffs, bins):
 
     Returns (bin_centers, density) suitable for external plotting.
     """
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
+    _check_counts(bins=bins)
     coeffs = np.asarray(coeffs, dtype=np.float64).ravel()
     if coeffs.size == 0:
         raise ValueError("empty coefficient stack")

@@ -162,8 +162,8 @@ def block_entropies(frames, noise_var, patch_size=GreedConfig.patch_size):
     return EntropyField(gamma * h, betas)
 
 
-def average_reference_entropies(ref_field, rate_ratio, n_out=None):
-    """Average reference entropies over the cells of the frame-rate alignment.
+def average_reference_entropies(ref_field, rate_ratio, n_out):
+    """Average reference entropies over the first n_out cells of the frame-rate alignment.
 
     Output frame i averages reference frames [kept[i], kept[i + 1]) with
     kept = kept_indices(n_ref, rate_ratio, 1), i.e. [floor(i*F), floor((i+1)*F))
@@ -173,8 +173,6 @@ def average_reference_entropies(ref_field, rate_ratio, n_out=None):
     if ratio < 1:
         raise ValueError(f"rate ratio must be >= 1, got {rate_ratio}")
     n_ref = ref_field.values.shape[-2]
-    if n_out is None:
-        n_out = int(n_ref / ratio)
     edges = (kept_indices(n_ref, ratio, 1) + [n_ref])[:n_out + 1]
     if len(edges) <= n_out:
         raise ValueError(f"empty averaging cell at output frame {len(edges) - 1}")
@@ -270,12 +268,8 @@ def compute_features(ref, dist, config=None, jobs=1):
         sgreed = np.mean(sgreed_frame(eps_r_avg[0], eps_d[0]))
         return [sgreed, *np.mean(tgreed_frame(eps_r_avg[1:], eps_p, eps_d[1:]), axis=-1)]
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(scale_features, cfg.scales))
-    else:
-        values = list(map(scale_features, cfg.scales))
-    return GreedFeatures(np.concatenate(values), cfg)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return GreedFeatures(np.concatenate(list(pool.map(scale_features, cfg.scales))), cfg)
 
 
 # ---------------------------------------------------------------------------

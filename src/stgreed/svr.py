@@ -264,6 +264,9 @@ def predict(model, x):
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     x = np.atleast_2d(x)
+    if x.shape[-1] != len(model.feature_shift):
+        raise ValueError(f"got {x.shape[-1]} feature values, model takes "
+                         f"{len(model.feature_shift)}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite feature input")
     xn = (x - model.feature_shift) / model.feature_scale

@@ -84,6 +84,7 @@ _CHROMA_SAMPLES = {
     "444": lambda w, h: 2 * w * h,
     "mono": lambda w, h: 0,
 }
+PIXEL_FORMATS = ("yuv420p", "yuv420p10le")  # raw YUV input: 4:2:0, 8-bit or 10-bit codes
 
 
 def _frozen(frames):
@@ -202,7 +203,7 @@ def load_raw_yuv(path, width, height, fps, pixel_format="yuv420p"):
     if width <= 0 or height <= 0:
         raise ValueError(f"invalid dimensions {width}x{height}")
     fps = _as_fraction(fps)
-    if pixel_format not in ("yuv420p", "yuv420p10le"):
+    if pixel_format not in PIXEL_FORMATS:
         raise VideoFormatError(f"unsupported pixel format {pixel_format!r}")
     dtype = np.dtype("<u2" if pixel_format == "yuv420p10le" else np.uint8)
 

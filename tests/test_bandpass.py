@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from stgreed.bandpass import (build_packet_filters, check_bank_fits, spatial_ms,
+from stgreed.bandpass import (build_packet_filters, check_band, check_bank_fits, spatial_ms,
                               temporal_filter, _gaussian_window)
 
 from conftest import padded_loop_filter
@@ -49,6 +51,17 @@ def test_check_bank_fits_knows_every_band_length(wavelet, levels):
     temporal_filter(np.zeros((max(fewest, 2), 1, 1)), bank.filters[-1])
     with pytest.raises(ValueError, match=f"{length} taps need at least {fewest} frames"):
         check_bank_fits(wavelet, levels, fewest - 1)
+
+
+@pytest.mark.parametrize("levels", [1, 3, 64, 65])
+def test_check_band_knows_the_band_count(levels):
+    n_bands = len(build_packet_filters("haar", levels).filters) if levels <= 5 else 2 ** levels - 1
+    top = str(n_bands) if levels <= 64 else f"2**{levels} - 1"
+    for band in (1, n_bands):
+        check_band(levels, band)
+    for band in (0, n_bands + 1):
+        with pytest.raises(ValueError, match=rf"^band must be in \[1, {re.escape(top)}\]$"):
+            check_band(levels, band)
 
 
 def test_equivalent_filters_match_fourier_cascade():

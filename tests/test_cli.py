@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -15,9 +17,9 @@ from hypothesis import strategies as st
 
 from stgreed import cli, svr
 from stgreed.cli import _config, build_parser, main
-from stgreed.evaluate import split_contents
-from stgreed.features import GreedConfig, append_cache_record
-from stgreed.video import VideoFormatError, load_raw_yuv, load_y4m
+from stgreed.evaluate import run_protocol, split_contents, train_model
+from stgreed.features import GreedConfig, append_cache_record, compute_features
+from stgreed.video import PIXEL_FORMATS, VideoFormatError, load_raw_yuv, load_y4m
 
 from conftest import write_y4m
 
@@ -283,6 +285,17 @@ def test_score_fingerprint_mismatch_exits_3(video_pair, tmp_path, capsys):
                "--wavelet", "haar", "--scales", "1"])
     assert rc == 3
     assert "config" in capsys.readouterr().err
+
+
+def test_score_with_a_model_of_another_width_exits_2(video_pair, tmp_path, capsys):
+    # A model saved without a fingerprint skips the config check, so the
+    # 16 values of two scales reach an 8-feature model.
+    ref, dist = video_pair
+    model_path = str(tmp_path / "m.json")
+    _write_model(model_path, "")
+    assert main(["score", ref, dist, "--model", model_path,
+                 "--wavelet", "haar", "--scales", "0,1"]) == 2
+    assert capsys.readouterr() == ("", "error: got 16 feature values, model takes 8\n")
 
 
 def test_score_matches_features_plus_predict(video_pair, tmp_path, capsys, rng):
@@ -555,6 +568,34 @@ def test_histdump_checks_band_and_levels_before_decoding(tmp_path, capsys, extra
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("cmd", ["features", "train", "eval"])
+def test_missing_output_directory_exits_2_before_any_input_is_read(video_pair, tmp_path, rng,
+                                                                   capsys, monkeypatch, cmd):
+    manifest, cache = _write_dataset(tmp_path, rng)
+    out = str(tmp_path / "missing" / "out.json")
+    argv = {"features": ["features", *video_pair, "--scales", "1", "--cache", out],
+            "train": ["train", "--manifest", manifest, "--cache", cache, "--out", out],
+            "eval": ["eval", "--manifest", manifest, "--cache", cache, "--trials", "1",
+                     "--json", out]}[cmd]
+
+    def must_not_read(*args, **kwargs):
+        raise AssertionError("input read before the output path was checked")
+
+    monkeypatch.setattr(cli, "_load_video", must_not_read)
+    monkeypatch.setattr(cli, "_load_dataset", must_not_read)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: no such directory\n")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_output_path_without_a_directory_is_written_in_the_working_directory(
+        tmp_path, rng, capsys, monkeypatch):
+    manifest, cache = _write_dataset(tmp_path, rng)
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--manifest", manifest, "--cache", cache, "--out", "m.json"]) == 0
+    assert svr.load_model(tmp_path / "m.json").fingerprint == GreedConfig().fingerprint()
+
+
 @pytest.mark.parametrize("cmd", ["features", "score", "train", "eval", "histdump"])
 def test_help_exits_cleanly(cmd, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -577,6 +618,56 @@ def test_histdump_defaults_are_greed_config():
     args = build_parser().parse_args(["histdump", "v.y4m"])
     assert (args.wavelet, args.levels) == (GreedConfig().wavelet, GreedConfig().levels)
     assert args.scale == min(GreedConfig().scales)
+
+
+def _subparser(cmd):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[cmd]
+
+
+def _move_default(monkeypatch, fn, name, value):
+    """Give fn's parameter name the default value for the rest of the test."""
+    names = list(inspect.signature(fn).parameters)
+    defaults = list(fn.__defaults__)
+    defaults[names.index(name) - len(names) + len(defaults)] = value
+    monkeypatch.setattr(fn, "__defaults__", tuple(defaults))
+
+
+# Per subcommand: the flags whose defaults are library signature defaults,
+# and the flags whose defaults only the CLI states.
+_SIGNATURE_DEFAULTS = {
+    "features": {"jobs": (compute_features, "jobs"),
+                 "pixel_format": (load_raw_yuv, "pixel_format")},
+    "score": {"jobs": (compute_features, "jobs"),
+              "pixel_format": (load_raw_yuv, "pixel_format")},
+    "train": {"seed": (train_model, "seed")},
+    "eval": {"trials": (run_protocol, "trials"), "seed": (run_protocol, "seed")},
+    "histdump": {"pixel_format": (load_raw_yuv, "pixel_format")},
+}
+_CLI_DEFAULTS = {"features": {"format": "text"}, "histdump": {"band": 4, "bins": 101}}
+
+
+@pytest.mark.parametrize("cmd", list(_SIGNATURE_DEFAULTS))
+def test_every_flag_default_comes_from_the_library(cmd, monkeypatch):
+    # Each library default is moved to a value no literal in the CLI holds;
+    # a parser built afterwards must follow every one of them.
+    want = dict(_CLI_DEFAULTS.get(cmd, {}))
+    for dest, (fn, name) in _SIGNATURE_DEFAULTS[cmd].items():
+        want[dest] = f"moved {fn.__name__} {name}"
+        _move_default(monkeypatch, fn, name, want[dest])
+    for field, value in [("wavelet", "moved-wavelet"), ("scales", (7, 9)), ("noise_var", 0.25),
+                         ("patch_size", 3), ("levels", 6)]:
+        monkeypatch.setattr(GreedConfig, field, value)
+    if cmd == "histdump":
+        want.update(wavelet="moved-wavelet", levels=6, scale=7)
+    else:
+        want.update(wavelet="moved-wavelet", scales=(7, 9), noise_var=0.25, patch=3, levels=6)
+    actions = {a.dest: a for a in _subparser(cmd)._actions}
+    assert {dest: a.default for dest, a in actions.items()
+            if a.default not in (None, argparse.SUPPRESS)} == want
+    assert actions["wavelet"].choices is cli.WAVELETS
+    if "pixel_format" in want:
+        assert actions["pixel_format"].choices is PIXEL_FORMATS
 
 
 def test_eval_json_reports_per_trial_fit_details(tmp_path, rng, capsys):

@@ -414,6 +414,9 @@ def test_train_model_needs_three_contents(rng):
     rows, features = _synthetic_dataset(rng, n_contents=2, per_content=3)
     with pytest.raises(ValueError, match="at least 3 contents"):
         train_model(rows, features)
+    # run_protocol shares the check and its message.
+    with pytest.raises(ValueError, match="^need at least 3 contents, got 2$"):
+        run_protocol(rows, features, trials=1)
 
 
 def test_run_protocol_lists_every_missing_pair(rng):

@@ -83,13 +83,13 @@ def _field(values):
 
 def test_average_reference_identity():
     f = _field([[1.0], [3.0], [5.0]])
-    out = average_reference_entropies(f, 1)
+    out = average_reference_entropies(f, 1, n_out=3)
     np.testing.assert_array_equal(out.values, f.values)
 
 
 def test_average_reference_pairwise():
     f = _field([[1.0], [3.0], [5.0], [7.0]])
-    out = average_reference_entropies(f, 2)
+    out = average_reference_entropies(f, 2, n_out=2)
     np.testing.assert_allclose(out.values, [[2.0], [6.0]])
 
 
@@ -109,7 +109,7 @@ def test_average_reference_non_integer():
 
 def test_average_reference_rejects_upsampling():
     with pytest.raises(ValueError):
-        average_reference_entropies(_field([[1.0]]), Fraction(1, 2))
+        average_reference_entropies(_field([[1.0]]), Fraction(1, 2), n_out=1)
 
 
 def test_tgreed_frame_examples():

@@ -57,6 +57,14 @@ def test_predict_is_continuous(rng):
     assert abs(p1 - p0) < 1e-4
 
 
+@pytest.mark.parametrize("shape", [(3,), (5,), (2, 3)])
+def test_predict_rejects_the_wrong_feature_count(rng, shape):
+    X, y = _toy_problem(rng)
+    model = train_svr(X, y, (10.0, 0.5, 0.5))
+    with pytest.raises(ValueError, match=f"got {shape[-1]} feature values, model takes 4"):
+        predict(model, np.zeros(shape))
+
+
 def test_feature_standardization_invariance(rng):
     X, y = _toy_problem(rng)
     shift = rng.normal(size=4) * 100.0
