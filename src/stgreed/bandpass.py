@@ -68,21 +68,30 @@ def _analysis_pair(wavelet_name, levels):
     return _WAVELETS[wavelet_name]
 
 
+def _check_taps_fit(length, n_frames, what="temporal filter too long", levels=0):
+    """Reject a filter of length taps on n_frames frames: at most 4 taps per frame.
+
+    A bank of more levels than _PRINTABLE_LEVELS is named by its level
+    count, as its tap count is too long to print.
+    """
+    if 4 * n_frames >= length:
+        return
+    if levels > _PRINTABLE_LEVELS:
+        raise ValueError(f"{what}: {levels} levels need at least 2**{levels - 2} frames, "
+                         f"got {n_frames}")
+    raise ValueError(f"{what}: {length} taps need at least {-(-length // 4)} frames, "
+                     f"got {n_frames}")
+
+
 def check_bank_fits(wavelet_name, levels, n_frames):
     """Reject a clip too short for build_packet_filters(wavelet_name, levels).
 
-    Every band has (len(lo) - 1) * (2^levels - 1) + 1 taps, and
-    temporal_filter takes at most 4 taps per frame. This needs no bank,
-    whose cost grows about 4x per level, so callers run it first.
+    Every band has (len(lo) - 1) * (2^levels - 1) + 1 taps. This needs no
+    bank, whose cost grows about 4x per level, so callers run it first.
     """
     lo, _ = _analysis_pair(wavelet_name, levels)
-    length = (len(lo) - 1) * (2 ** levels - 1) + 1
-    if 4 * n_frames < length:
-        if levels > _PRINTABLE_LEVELS:
-            raise ValueError(f"video too short for the temporal filter bank: {levels} levels "
-                             f"need at least 2**{levels - 2} frames, got {n_frames}")
-        raise ValueError(f"video too short for the temporal filter bank: {length} taps "
-                         f"need at least {-(-length // 4)} frames, got {n_frames}")
+    _check_taps_fit((len(lo) - 1) * (2 ** levels - 1) + 1, n_frames,
+                    "video too short for the temporal filter bank", levels)
 
 
 def check_band(levels, band):
@@ -159,8 +168,7 @@ def temporal_filter(frames, taps):
     n = frames.shape[0]
     if n < 2:
         raise ValueError("temporal filtering needs at least 2 frames")
-    if len(taps) > 4 * n:
-        raise ValueError(f"filter of length {len(taps)} too long for {n} frames")
+    _check_taps_fit(len(taps), n)
 
     frames = np.asarray(frames, dtype=np.float64)
     out = _mirror_filter(frames.reshape(n, -1), taps, -2).reshape(frames.shape)

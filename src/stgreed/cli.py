@@ -21,8 +21,10 @@ def _default(fn, name):
     return inspect.signature(fn).parameters[name].default
 
 
-def _check_out_dir(path):
-    """Reject an output path (None for none) whose directory does not exist."""
+def _check_out_path(path):
+    """Reject an output path (None for none) that is a directory or has no directory."""
+    if path and os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
     if path and not os.path.isdir(os.path.dirname(path) or "."):
         raise ValueError(f"cannot write {path}: no such directory")
 
@@ -73,7 +75,7 @@ def _load_video(path, args, fps_override=None):
 def cmd_features(args):
     cfg = _config(args)
     _check_jobs(args.jobs)
-    _check_out_dir(args.cache)
+    _check_out_path(args.cache)
     ref = _load_video(args.ref, args)
     for i, path in enumerate(args.dist):
         # Bind no name to the distorted video, so it is freed before the next
@@ -118,7 +120,7 @@ def _load_dataset(args, cfg):
 def cmd_train(args):
     cfg = _config(args)
     evaluate._check_counts(args.seed)
-    _check_out_dir(args.out)
+    _check_out_path(args.out)
     rows, features = _load_dataset(args, cfg)
     model = evaluate.train_model(rows, features, seed=args.seed,
                                  fingerprint=cfg.fingerprint())
@@ -132,7 +134,7 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = _config(args)
     evaluate._check_counts(args.seed, args.trials)
-    _check_out_dir(args.json)
+    _check_out_path(args.json)
     rows, features = _load_dataset(args, cfg)
     report = evaluate.run_protocol(rows, features, trials=args.trials, seed=args.seed)
     medians = {name: getattr(report, name) for name in ("srocc", "krocc", "plcc", "rmse")}

@@ -12,12 +12,17 @@ import numpy as np
 from . import ggd
 from .bandpass import (_analysis_pair, build_packet_filters, check_bank_fits, spatial_ms,
                        temporal_filter)
-from .video import downsample, kept_indices
+from .video import check_scale, downsample, kept_indices
 
 # Part of every config fingerprint. Bump it in any change that moves feature
 # values by more than 1e-9 relative, so caches and models written before it
 # are rejected instead of silently reused.
 FEATURE_VERSION = 1
+
+
+def _check_patch_size(patch_size):
+    if patch_size < 1:
+        raise ValueError(f"patch size must be >= 1, got {patch_size}")
 
 
 @dataclass(frozen=True)
@@ -32,13 +37,11 @@ class GreedConfig:
         # The same checks as the functions that use each field, made before
         # any video is decoded.
         ggd.check_noise_var(self.noise_var)
-        if self.patch_size < 1:
-            raise ValueError(f"patch size must be >= 1, got {self.patch_size}")
+        _check_patch_size(self.patch_size)
         _analysis_pair(self.wavelet, self.levels)
         if not self.scales:
             raise ValueError("scales must not be empty")
-        if min(self.scales) < 0:
-            raise ValueError("scale exponent must be >= 0")
+        check_scale(min(self.scales))
 
     def fingerprint(self):
         key = f"{FEATURE_VERSION}|{self.wavelet}|{','.join(map(str, self.scales))}|{self.noise_var!r}|{self.patch_size}|{self.levels}"
@@ -61,59 +64,32 @@ class GreedFeatures:
     config: GreedConfig = field(default_factory=GreedConfig)
 
 
-def _pairwise_sum(views, square):
-    """Sum of the views, or of their squares, in numpy's pairwise order for len(views) values.
-
-    Each term is made as it is added, so at most the 8 partial sums and one
-    term are held.
-    """
-    def term(v, first=False):
-        if square:
-            return v * v
-        return v.copy() if first else v  # a sum starts from a copy, not a view of the frames
-
-    n = len(views)
-    if n > 128:  # numpy's block size: halve at a multiple of 8
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(views[:half], square) + _pairwise_sum(views[half:], square)
-    if n < 8:
-        total = term(views[0], first=True)
-        for v in views[1:]:
-            total += term(v)
-        return total
-    acc = [term(v, first=True) for v in views[:8]]
-    tail = n - n % 8
-    for i in range(8, tail):
-        acc[i % 8] += term(views[i])
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for v in views[tail:]:
-        total += term(v)
-    return total
-
-
 def _patch_variances(frames, patch):
     """Variance of each non-overlapping patch, (..., T, H, W) to (..., T, P).
 
-    Adds strided views, one per position in the patch, in the order numpy's
-    mean(axis=(2, 4)) of the (..., rows, patch, cols, patch) reshape adds
-    them, so the result is bit-identical to that mean without a stack-sized
-    square: a pairwise sum per patch row and the row sums in order, or one
-    pairwise run over the whole patch when the frame is one patch wide.
+    This is the mean(axis=(2, 4)) of the (-1, rows, patch, cols, patch)
+    reshape, squares included. numpy adds fewer than 8 terms in order, so
+    below patch 8, on frames at least two patches wide, it sums each patch
+    row in order and then the row sums in order. There the same floats come
+    from one strided view per position in the patch, each squared only as
+    it is added, without a stack-sized square.
     """
     rows, cols = frames.shape[-2] // patch, frames.shape[-1] // patch
-    grid = [[frames[..., a:rows * patch:patch, b:cols * patch:patch] for b in range(patch)]
-            for a in range(patch)]
+    if patch >= 8 or cols == 1:
+        blocks = frames[..., :rows * patch, :cols * patch].reshape(-1, rows, patch, cols, patch)
+        mean, sq = blocks.mean(axis=(2, 4)), np.square(blocks).mean(axis=(2, 4))
+    else:
+        def patch_mean(square):
+            total = 0.0  # 0.0 + x starts each sum as a new array, not a view of the frames
+            for a in range(patch):
+                row = 0.0
+                for b in range(patch):
+                    v = frames[..., a:rows * patch:patch, b:cols * patch:patch]
+                    row += v * v if square else v
+                total += row
+            return total / (patch * patch)
 
-    def patch_mean(square):
-        if cols == 1:
-            return _pairwise_sum([x for row in grid for x in row], square) / (patch * patch)
-        total = _pairwise_sum(grid[0], square)
-        for row in grid[1:]:
-            total += _pairwise_sum(row, square)
-        return total / (patch * patch)
-
-    mean = patch_mean(False)
-    sq = patch_mean(True)
+        mean, sq = patch_mean(False), patch_mean(True)
     return (sq - mean * mean).reshape(*frames.shape[:-2], rows * cols)
 
 
@@ -127,8 +103,7 @@ def block_entropies(frames, noise_var, patch_size=GreedConfig.patch_size):
     B videos gives what B separate calls give.
     """
     ggd.check_noise_var(noise_var)
-    if patch_size < 1:
-        raise ValueError(f"patch size must be >= 1, got {patch_size}")
+    _check_patch_size(patch_size)
     frames = np.asarray(frames, dtype=np.float64)
     if frames.shape[-2] < patch_size or frames.shape[-1] < patch_size:
         raise ValueError(f"frames smaller than one {patch_size}x{patch_size} patch")
@@ -183,23 +158,24 @@ def average_reference_entropies(ref_field, rate_ratio, n_out):
     return EntropyField(values / counts[:, None], betas / counts)
 
 
+def _entropy_vectors(*vectors):
+    """The vectors as float64 arrays, which must all have one shape."""
+    arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
+    if len({a.shape for a in arrays}) > 1:
+        raise ValueError("entropy vectors must have equal length")
+    return arrays
+
+
 def tgreed_frame(eps_ref_avg, eps_pr, eps_dist):
     """Temporal entropic-difference index per frame, from (..., P) patch entropies to (...)."""
-    eps_ref_avg = np.asarray(eps_ref_avg, dtype=np.float64)
-    eps_pr = np.asarray(eps_pr, dtype=np.float64)
-    eps_dist = np.asarray(eps_dist, dtype=np.float64)
-    if not (eps_ref_avg.shape == eps_pr.shape == eps_dist.shape):
-        raise ValueError("entropy vectors must have equal length")
+    eps_ref_avg, eps_pr, eps_dist = _entropy_vectors(eps_ref_avg, eps_pr, eps_dist)
     term = (1.0 + np.abs(eps_dist - eps_pr)) * (eps_ref_avg + 1.0) / (eps_pr + 1.0) - 1.0
     return np.mean(np.abs(term), axis=-1)
 
 
 def sgreed_frame(theta_ref, theta_dist):
     """Spatial entropic-difference index per frame; (..., P) to (...) as tgreed_frame."""
-    theta_ref = np.asarray(theta_ref, dtype=np.float64)
-    theta_dist = np.asarray(theta_dist, dtype=np.float64)
-    if theta_ref.shape != theta_dist.shape:
-        raise ValueError("entropy vectors must have equal length")
+    theta_ref, theta_dist = _entropy_vectors(theta_ref, theta_dist)
     return np.mean(np.abs(theta_dist - theta_ref), axis=-1)
 
 

@@ -218,6 +218,12 @@ def load_raw_yuv(path, width, height, fps, pixel_format="yuv420p"):
     return LumaVideo(frames, fps)
 
 
+def check_scale(s):
+    """Reject a negative spatial scale exponent."""
+    if s < 0:
+        raise ValueError("scale exponent must be >= 0")
+
+
 def downsample(video, s):
     """Downsample spatially by 2**s: the mean of each 2**s x 2**s block.
 
@@ -229,8 +235,7 @@ def downsample(video, s):
     frames as they are). Integer samples are pooled with exact integer block
     sums, scaled once, so uint8 frames pool to exactly the float64 result.
     """
-    if s < 0:
-        raise ValueError("scale exponent must be >= 0")
+    check_scale(s)
     s = int(s)
     frames = video.frames
     gain = 255.0 / 1023.0 if frames.dtype.kind == "u" and frames.dtype.itemsize == 2 else 1.0

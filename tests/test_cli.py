@@ -588,6 +588,27 @@ def test_missing_output_directory_exits_2_before_any_input_is_read(video_pair, t
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("cmd", ["features", "train", "eval"])
+def test_output_path_that_is_a_directory_exits_2_before_any_input_is_read(
+        video_pair, tmp_path, rng, capsys, monkeypatch, cmd):
+    manifest, cache = _write_dataset(tmp_path, rng)
+    out = str(tmp_path / "outdir")
+    os.mkdir(out)
+    argv = {"features": ["features", *video_pair, "--scales", "1", "--cache", out],
+            "train": ["train", "--manifest", manifest, "--cache", cache, "--out", out],
+            "eval": ["eval", "--manifest", manifest, "--cache", cache, "--trials", "1",
+                     "--json", out]}[cmd]
+
+    def must_not_read(*args, **kwargs):
+        raise AssertionError("input read before the output path was checked")
+
+    monkeypatch.setattr(cli, "_load_video", must_not_read)
+    monkeypatch.setattr(cli, "_load_dataset", must_not_read)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: it is a directory\n")
+    assert os.listdir(out) == []
+
+
 def test_output_path_without_a_directory_is_written_in_the_working_directory(
         tmp_path, rng, capsys, monkeypatch):
     manifest, cache = _write_dataset(tmp_path, rng)

@@ -208,11 +208,16 @@ def test_block_entropies_of_a_stack_equal_separate_calls(b, t, h, w, patch, seed
 @given(st.integers(1, 3), st.integers(0, 6), st.integers(1, 30), st.integers(1, 30),
        st.integers(1, 12), st.sampled_from([1e-6, 0.1, 3.0, 100.0]),
        st.integers(0, 2 ** 32 - 1))
-@example(2, 3, 23, 12, 12, 0.1, 7)  # one patch wide: 144 views in one pairwise run
+@example(2, 3, 23, 12, 12, 0.1, 7)  # one patch wide, patch 12: the reshape path
+@example(2, 3, 14, 15, 7, 0.1, 7)  # two patches wide, patch 7: the strided path
+@example(2, 3, 16, 17, 8, 0.1, 7)  # two patches wide, patch 8: the reshape path
+@example(2, 3, 5, 3, 2, 0.1, 7)  # one patch wide, patch 2: the reshape path
+@example(2, 3, 9, 13, 7, 0.1, 7)  # one patch wide, patch 7: the reshape path
 def test_block_entropies_equal_the_frame_by_frame_loop(b, t, h, w, patch, noise_var, seed):
-    # Bit for bit at every patch size: the strided sums follow numpy's
-    # pairwise order, also in one-patch-wide frames, past 8 terms and, at
-    # patch 12, past the 128 terms where the pairwise sum halves.
+    # Bit for bit at every patch size: below patch 8, on frames at least two
+    # patches wide, the strided sums add in the order numpy's mean adds 7 or
+    # fewer terms; every other shape is numpy's own reshape-and-mean. The
+    # examples sit on both sides of that boundary in every run.
     assume(h >= patch and w >= patch)
     rng = np.random.default_rng(seed)
     # Heavy- and light-tailed frames of varied spread, flat frames, and offsets.
