@@ -120,48 +120,48 @@ def _face_step(K, y, C, epsilon, beta):
 def _smo_state(beta, K_beta, y, C, epsilon):
     """_solve_smo's loop state for beta: lam and the (2, 2n) masked scores.
 
-    v = u - epsilon on the alpha half and u + epsilon on the alpha* half,
-    with u = y - K beta; see _solve_smo for the masks.
+    v = u - epsilon on the alpha half and u + epsilon on the -alpha* half,
+    with u = y - K beta; see _solve_smo for the boxes and the masks.
     """
     alpha = np.maximum(beta, 0.0)
-    alpha_s = alpha - beta  # = max(-beta, 0), exactly
+    lam = np.concatenate([alpha, beta - alpha])  # beta - alpha = -alpha*, exactly
+    lo, hi = np.repeat([0.0, -C], len(y)), np.repeat([C, 0.0], len(y))
     u = y - K_beta
-    scores = np.array([np.concatenate([np.where(alpha < C, u - epsilon, -np.inf),
-                                       np.where(alpha_s > 0.0, u + epsilon, -np.inf)]),
-                       np.concatenate([np.where(alpha > 0.0, u - epsilon, np.inf),
-                                       np.where(alpha_s < C, u + epsilon, np.inf)])])
-    return alpha.tolist() + alpha_s.tolist(), scores
+    v = np.concatenate([u - epsilon, u + epsilon])
+    return lam.tolist(), np.array([np.where(lam < hi, v, -np.inf), np.where(lam > lo, v, np.inf)])
 
 
 def _solve_smo(K, y, C, epsilon, max_iter=200000, beta0=None):
     """Two-coordinate dual ascent with most-violating-pair selection.
 
-    The variables are the stacked (alpha, alpha*) vector lam, each entry
-    boxed in [0, C]; entry t belongs to training row t % n and has sign
-    s_t = +1 for t < n, -1 otherwise. Every update keeps the equality
-    constraint sum(alpha - alpha*) = 0, up to rounding.
+    The variables are the stacked (alpha, -alpha*) vector lam, entry t
+    belonging to training row t % n and boxed in [lo_t, hi_t]: [0, C] on
+    the alpha half, [-C, 0] on the -alpha* half. Then beta = alpha - alpha*
+    is lam[:n] + lam[n:], and every update, which moves one entry up and
+    another down by the same amount, keeps the equality constraint
+    sum(beta) = 0, up to rounding.
 
-    The loop state is the score v = -s * G (G the dual gradient) in two
-    masked copies, the rows of one (2, 2n) array: v_up holds v_t where t may
-    move up (lam_t < C for s_t > 0, lam_t > 0 for s_t < 0) and -inf
-    elsewhere, v_low holds v_t where t may move down and +inf elsewhere.
-    Because C > 0 every entry is in at least one set, so one copy always
-    holds v_t. A step on the pair (i, j) moves every half of both copies by
-    the same d = (K[:, p_i] - K[:, p_j]) * u, and +-inf entries stay
-    +-inf. Only entries i and j can change sets: i, which moved up, can
-    leave the up set and join the low set, and j the other way round. So a
-    step is one kernel row difference, one in-place subtraction and two
-    re-masked entries.
+    The loop state is the score v = -G (G the dual's gradient in lam) in
+    two masked copies, the rows of one (2, 2n) array: v_up holds v_t where
+    t may move up (lam_t < hi_t) and -inf elsewhere, v_low holds v_t where
+    t may move down (lam_t > lo_t) and +inf elsewhere. Because C > 0 every
+    entry is in at least one set, so one copy always holds v_t. A step on
+    the pair (i, j) adds u to lam_i and takes u from lam_j, and moves every
+    half of both copies by the same d = (K[:, p_i] - K[:, p_j]) * u; +-inf
+    entries stay +-inf. Only entries i and j can change sets: i, which
+    moved up, can leave the up set and join the low set, and j the other
+    way round. So a step is one kernel row difference, one in-place
+    subtraction and two re-masked entries.
 
     Every step is positive, so the loop needs no zero-step exit: the pair
     has gap > _SMO_TOL > 0, the curvature is floored at 1e-12, and both box
-    bounds are positive because i is in the up set (C - lam_i > 0 or
-    lam_i > 0) and j is in the low set.
+    room hi_i - lam_i and lam_j - lo_j are positive because i is in the up
+    set and j in the low set.
 
     Neither set is ever empty, so the loop needs no empty-set exit: an empty
-    up set would need every alpha_t = C and every alpha*_t = 0, so
-    sum(alpha - alpha*) = nC > 0, which no update allows. The same argument
-    covers the low set.
+    up set would need every lam_t = hi_t, that is every alpha_t = C and
+    every alpha*_t = 0, so sum(beta) = nC > 0, which no update allows. The
+    same argument covers the low set.
 
     Pair steps zigzag where C is large and the kernel ill-conditioned, with
     most rows strictly inside their box. So after every _FACE_EVERY steps
@@ -182,6 +182,7 @@ def _solve_smo(K, y, C, epsilon, max_iter=200000, beta0=None):
     n = len(y)
     Kr = np.ascontiguousarray(K.T)  # Kr[p] is column p of K, read as a row
     diag = K.diagonal().tolist()
+    lo, hi = [0.0] * n + [-C] * n, [C] * n + [0.0] * n
     beta = np.zeros(n) if beta0 is None else beta0
     lam, scores = _smo_state(beta, K @ beta, y, C, epsilon)
     v_up, v_low = scores
@@ -190,7 +191,7 @@ def _solve_smo(K, y, C, epsilon, max_iter=200000, beta0=None):
     for it in range(max_iter + 1):
         if it and not it % _FACE_EVERY:
             lam_a = np.array(lam)
-            face = _face_step(K, y, C, epsilon, lam_a[:n] - lam_a[n:])
+            face = _face_step(K, y, C, epsilon, lam_a[:n] + lam_a[n:])
             if face is not None:
                 lam, scores[:] = _smo_state(*face, y, C, epsilon)
         i, j = int(v_up.argmax()), int(v_low.argmin())
@@ -199,27 +200,24 @@ def _solve_smo(K, y, C, epsilon, max_iter=200000, beta0=None):
             break
         pi, pj = i % n, j % n
         a = diag[pi] + diag[pj] - 2.0 * Kr.item(pj, pi)
-        u_max_i = C - lam[i] if i < n else lam[i]
-        u_max_j = lam[j] if j < n else C - lam[j]
-        u = min(max(gap / max(a, 1e-12), 0.0), u_max_i, u_max_j)
-        lam[i] += u if i < n else -u
-        lam[j] -= u if j < n else -u
+        u = min(gap / max(a, 1e-12), hi[i] - lam[i], lam[j] - lo[j])
+        lam[i] += u
+        lam[j] -= u
         d = Kr[pi] - Kr[pj]
         d *= u
         halves -= d
         # v_i now sits in v_up and v_j in v_low
-        li, lj = lam[i], lam[j]
-        if (li > 0.0) if i < n else (li < C):
+        if lam[i] > lo[i]:
             v_low[i] = v_up[i]
-        if not ((li < C) if i < n else (li > 0.0)):
+        if not lam[i] < hi[i]:
             v_up[i] = -np.inf
-        if (lj < C) if j < n else (lj > 0.0):
+        if lam[j] < hi[j]:
             v_up[j] = v_low[j]
-        if not ((lj > 0.0) if j < n else (lj < C)):
+        if not lam[j] > lo[j]:
             v_low[j] = np.inf
 
     lam = np.array(lam)
-    return lam[:n] - lam[n:], float(0.5 * (v_up[i] + v_low[j])), it, gap
+    return lam[:n] + lam[n:], float(0.5 * (v_up[i] + v_low[j])), it, gap
 
 
 def _standardize(features, labels):
@@ -233,6 +231,16 @@ def _standardize(features, labels):
     scale = X.std(axis=0)
     scale[scale == 0.0] = 1.0
     return (X - shift) / scale, y, shift, scale
+
+
+def _check_hyperparams(C, epsilon, gamma):
+    """Raise unless C and kernel_gamma are finite and > 0 and epsilon is finite and >= 0."""
+    if not 0 < C < np.inf:
+        raise ValueError(f"C must be finite and > 0, got {C}")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"kernel_gamma must be finite and > 0, got {gamma}")
 
 
 def _fit(K, Xn, y, shift, scale, hyperparams, fingerprint="", beta0=None):
@@ -254,8 +262,9 @@ def train_svr(features, labels, hyperparams, fingerprint=""):
     set yields a constant-predicting model with no support vectors, which
     reports 0 SMO iterations, converged and a gap of 0.
     """
-    Xn, y, shift, scale = _standardize(features, labels)
     hp = tuple(float(v) for v in hyperparams)
+    _check_hyperparams(*hp)
+    Xn, y, shift, scale = _standardize(features, labels)
     return _fit(_rbf(hp[2], Xn, Xn), Xn, y, shift, scale, hp, fingerprint)[0]
 
 
@@ -356,6 +365,9 @@ def grid_search(train_xy, val_xy, grid=None, work=None):
     grid = DEFAULT_GRID if grid is None else list(grid)
     if not grid:
         raise ValueError("empty hyperparameter grid")
+    points = [tuple(float(v) for v in hp) for hp in grid]
+    for hp in points:
+        _check_hyperparams(*hp)
     jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     X_val, y_val = val_xy
     Xn, y, shift, scale = _standardize(*train_xy)
@@ -365,7 +377,6 @@ def grid_search(train_xy, val_xy, grid=None, work=None):
     # short one and each process builds each gamma's kernel once, holding
     # one. A chain runs in descending epsilon, which took fewer SMO steps
     # than ascending on the protocol table.
-    points = [tuple(float(v) for v in hp) for hp in grid]
     chains = {}
     for k in sorted(range(len(points)),
                     key=lambda k: (points[k][2], -points[k][0], -points[k][1])):
@@ -438,9 +449,10 @@ def load_model(path):
             raise ValueError(f"support_vectors must be ({len(model.dual_coeffs)}, {d}), got {sv.shape}")
         if model.feature_scale.shape != (d,):
             raise ValueError(f"feature_scale must be ({d},), got {model.feature_scale.shape}")
-        _, _, gamma = model.hyperparams
+        C, epsilon, gamma = model.hyperparams
         if float(payload["kernel_gamma"]) != gamma:
             raise ValueError("kernel_gamma differs from hyperparams[2]")
+        _check_hyperparams(C, epsilon, gamma)
     except KeyError as e:
         raise ValueError(f"{path}: model file lacks field {e}") from e
     except (TypeError, ValueError) as e:

@@ -158,13 +158,10 @@ def test_ten_bit_y4m_and_raw_twin_print_identical_features(tmp_path, rng, capsys
     assert values.shape == (16,) and np.all(np.isfinite(values)) and np.any(values > 0)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.data())
-def test_ten_bit_code_above_1023_exits_2_with_its_byte_offset(t, h, w, data):
-    k = data.draw(st.integers(0, t - 1), label="frame")
-    pos = data.draw(st.integers(0, h * w - 1), label="position")
-    value = data.draw(st.integers(1024, 65535), label="value")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+def _check_first_code_above_1023(tmp, t, h, w, k, pos, value, seed):
+    """Both loaders and `greed features` report code k * h * w + pos of a
+    (t, h, w) 10-bit stack written under directory tmp."""
+    rng = np.random.default_rng(seed)
     codes = rng.integers(0, 1024, size=(t, h, w))
     first = k * h * w + pos
     codes.flat[first] = value
@@ -172,23 +169,42 @@ def test_ten_bit_code_above_1023_exits_2_with_its_byte_offset(t, h, w, data):
     codes.flat[first + 1:] = rng.integers(0, 65536, size=codes.size - first - 1)
     frame_bytes = 2 * (h * w + 2 * ((h + 1) // 2) * ((w + 1) // 2))
     header = len(f"YUV4MPEG2 W{w} H{h} F30:1 C420p10\n")
+    _write_ten_bit_twins(f"{tmp}/ref", np.zeros((t, h, w), int), 30)
+    _write_ten_bit_twins(f"{tmp}/bad", codes, 30)
+    for ext, offset, load, flags in [
+            ("y4m", header + 6 * (k + 1) + k * frame_bytes, load_y4m, []),
+            ("yuv", k * frame_bytes, lambda p: load_raw_yuv(p, w, h, 30, "yuv420p10le"),
+             ["--width", str(w), "--height", str(h), "--fps", "30",
+              "--pixel-format", "yuv420p10le"])]:
+        path = f"{tmp}/bad.{ext}"
+        error = f"{path}: 10-bit sample {value} above 1023 at byte {offset + 2 * pos}"
+        with pytest.raises(VideoFormatError) as exc:
+            load(path)
+        assert str(exc.value) == error
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(["features", f"{tmp}/ref.{ext}", path, *flags]) == 2
+        assert error in err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.data())
+def test_ten_bit_code_above_1023_exits_2_with_its_byte_offset(t, h, w, data):
+    k = data.draw(st.integers(0, t - 1), label="frame")
+    pos = data.draw(st.integers(0, h * w - 1), label="position")
+    value = data.draw(st.integers(1024, 65535), label="value")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     with tempfile.TemporaryDirectory() as tmp:
-        _write_ten_bit_twins(f"{tmp}/ref", np.zeros((t, h, w), int), 30)
-        _write_ten_bit_twins(f"{tmp}/bad", codes, 30)
-        for path, offset, load, flags in [
-                (f"{tmp}/bad.y4m", header + 6 * (k + 1) + k * frame_bytes, load_y4m, []),
-                (f"{tmp}/bad.yuv", k * frame_bytes,
-                 lambda p: load_raw_yuv(p, w, h, 30, "yuv420p10le"),
-                 ["--width", str(w), "--height", str(h), "--fps", "30",
-                  "--pixel-format", "yuv420p10le"])]:
-            error = f"{path}: 10-bit sample {value} above 1023 at byte {offset + 2 * pos}"
-            with pytest.raises(VideoFormatError) as exc:
-                load(path)
-            assert str(exc.value) == error
-            ref = path.replace("bad", "ref")
-            with contextlib.redirect_stderr(io.StringIO()) as err:
-                assert main(["features", ref, path, *flags]) == 2
-            assert error in err.getvalue()
+        _check_first_code_above_1023(tmp, t, h, w, k, pos, value, seed)
+
+
+def test_ten_bit_code_above_1023_under_a_directory_whose_name_holds_bad(tmp_path):
+    # The draws of a failure the test above once reported: its temporary
+    # directory was named tmpgbadjwri, and the reference's path, then made
+    # by replacing "bad" with "ref" in the whole path, named a missing
+    # directory. @example cannot fill st.data(), so the example is pinned here.
+    tmp = tmp_path / "tmpgbadjwri"
+    tmp.mkdir()
+    _check_first_code_above_1023(tmp, t=3, h=1, w=3, k=2, pos=0, value=1388, seed=1388)
 
 
 def test_features_appends_cache(video_pair, tmp_path, capsys):
@@ -264,7 +280,10 @@ def test_score_with_constant_model(video_pair, tmp_path, capsys):
     # One row of 2 * 8 values would reshape to the two rows dual_coeffs asks for.
     (lambda payload: {**payload, "support_vectors": [[0.0] * 16], "dual_coeffs": [1.0, 1.0]},
      "support_vectors must be (2, 8), got (1, 16)"),
-], ids=["not-an-object", "missing-field", "kernel-gamma-mismatch", "support-vector-shape"])
+    (lambda payload: {**payload, "hyperparams": [1.0, 0.1, -2.0], "kernel_gamma": -2.0},
+     "kernel_gamma must be finite and > 0, got -2.0"),
+], ids=["not-an-object", "missing-field", "kernel-gamma-mismatch", "support-vector-shape",
+        "negative-kernel-gamma"])
 def test_score_malformed_model_exits_2(video_pair, tmp_path, capsys, edit, error):
     ref, dist = video_pair
     model_path = tmp_path / "m.json"

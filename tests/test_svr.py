@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -95,6 +96,41 @@ def test_train_rejects_bad_input(rng):
     with pytest.raises(ValueError):
         predict(train_svr(X, np.arange(4.0), (1.0, 0.1, 0.5)),
                 np.array([np.inf, 0.0]))
+
+
+_OUT_OF_DOMAIN = [
+    pytest.param((0.0, 0.1, 0.5), "C must be finite and > 0, got 0.0", id="C=0"),
+    pytest.param((-1.0, 0.1, 0.5), "C must be finite and > 0, got -1.0", id="C<0"),
+    pytest.param((float("nan"), 0.1, 0.5), "C must be finite and > 0, got nan", id="C=nan"),
+    pytest.param((float("inf"), 0.1, 0.5), "C must be finite and > 0, got inf", id="C=inf"),
+    pytest.param((10.0, -0.5, 0.5), "epsilon must be finite and >= 0, got -0.5", id="epsilon<0"),
+    pytest.param((10.0, float("nan"), 0.5), "epsilon must be finite and >= 0, got nan",
+                 id="epsilon=nan"),
+    pytest.param((10.0, 0.1, -2.0), "kernel_gamma must be finite and > 0, got -2.0", id="gamma<0"),
+    pytest.param((10.0, 0.1, 0.0), "kernel_gamma must be finite and > 0, got 0.0", id="gamma=0"),
+    pytest.param((10.0, 0.1, float("inf")), "kernel_gamma must be finite and > 0, got inf",
+                 id="gamma=inf"),
+]
+
+
+@pytest.mark.parametrize("hp, error", _OUT_OF_DOMAIN)
+def test_train_svr_rejects_hyperparameters_outside_their_domain(rng, hp, error):
+    X, y = _toy_problem(rng, n=20)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        train_svr(X, y, hp)
+
+
+@pytest.mark.parametrize("hp, error", _OUT_OF_DOMAIN)
+def test_grid_search_rejects_a_point_outside_its_domain_before_any_fit(monkeypatch, rng, hp,
+                                                                       error):
+    def no_fits(*args):
+        raise AssertionError("grid_search fitted before checking its grid")
+        yield
+
+    monkeypatch.setattr(svr, "_fit_chains", no_fits)
+    X, y = _toy_problem(rng, n=20)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        grid_search((X, y), (X, y), grid=[(10.0, 0.1, 0.5), hp])
 
 
 def test_grid_search_single_point(rng):
@@ -299,6 +335,10 @@ def test_load_model_rejects_missing_field(tmp_path, rng, drop):
     ({"support_vectors": [[0.5] * 4] * 3, "dual_coeffs": [1.0, -1.0]},
      r"support_vectors must be \(2, 4\), got \(3, 4\)"),
     ({"feature_scale": [1.0, 1.0, 1.0]}, r"feature_scale must be \(4,\), got \(3,\)"),
+    ({"hyperparams": [0.0, 0.1, 0.5]}, "C must be finite and > 0, got 0.0"),
+    ({"hyperparams": [10.0, -0.5, 0.5]}, "epsilon must be finite and >= 0, got -0.5"),
+    ({"hyperparams": [10.0, 0.1, -2.0], "kernel_gamma": -2.0},
+     "kernel_gamma must be finite and > 0, got -2.0"),
 ])
 def test_load_model_rejects_malformed_fields(tmp_path, rng, change, error):
     path, payload = _saved_payload(tmp_path, rng)
