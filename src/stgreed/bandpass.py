@@ -45,9 +45,9 @@ class FilterBank:
 
 @dataclass(frozen=True)
 class SubbandStack:
-    """Per-frame band-pass coefficient planes for one subband."""
+    """Per-frame band-pass coefficient planes of one subband, or of each of a bank's."""
 
-    coeffs: np.ndarray  # (T, H, W), same shape as the filtered input
+    coeffs: np.ndarray  # (T, H, W) as the filtered input, or (B, T, H, W) for a bank
 
 
 def _upsample(taps, factor):
@@ -129,49 +129,71 @@ def build_packet_filters(wavelet_name, levels):
 _BLOCK_ROWS = 64
 
 
-def _mirror_filter(x, taps, axis):
+def _mirror_filter(x, taps, axis, out=None):
     """Convolve x with taps along axis -2 or -1, with half-sample mirror boundaries.
 
-    The filter is an (n, n) matrix: output sample t takes tap j from source
-    t + len(taps) // 2 - j (centring the taps compensates the group delay),
-    mirrored back into [0, n) with period 2n. The matrix is applied in
-    blocks of output rows, each reading only the input rows its sources
-    span, so the cost grows as n * (len(taps) + block) rather than n^2.
-    Each block is written in place, so x is never copied or moved.
+    taps is one filter, or a (B, L) bank of filters of one length, which
+    gives (B, *x.shape): band b is x filtered by taps[b]. A filter is an
+    (n, n) matrix: output sample t takes tap j from source
+    t + L // 2 - j (centring the taps compensates the group delay),
+    mirrored back into [0, n) with period 2n. It is applied in blocks of
+    output rows, each block's matrix built for only the input rows its
+    sources span, so the cost grows as n * (L + block) rather than n^2. A
+    bank's blocks are stacked, one matrix product per block for all its
+    bands. Each block is written in place into out (a new array if None),
+    so x is never copied or moved.
     """
-    n = x.shape[axis]
+    n, length = x.shape[axis], taps.shape[-1]
     t = np.arange(n)[:, None]
-    src = (t + len(taps) // 2 - np.arange(len(taps))) % (2 * n)
+    src = (t + length // 2 - np.arange(length)) % (2 * n)
     src = np.where(src < n, src, 2 * n - 1 - src)
-    matrix = np.zeros((n, n))
-    np.add.at(matrix, (t, src), taps)
-    out = np.empty(x.shape)
+    bands = taps.shape[:-1]
+    bank = taps.reshape(-1, 1, length)
+    band = np.arange(len(bank))[:, None, None]
+    # A bank's matrices broadcast over x's leading axes.
+    stacked = bands + (1,) * (x.ndim - 2) if bands else ()
+    if out is None:
+        out = np.empty(bands + x.shape)
     for b in range(0, n, _BLOCK_ROWS):
         # Span the sources, not the nonzero taps: a block's taps can cancel.
         rows = src[b:b + _BLOCK_ROWS]
         lo, hi = rows.min(), rows.max() + 1
-        block = matrix[b:b + _BLOCK_ROWS, lo:hi]
+        block = np.zeros((len(bank), len(rows), hi - lo))
+        np.add.at(block, (band, t[:len(rows)], rows - lo), bank)
+        block = block.reshape(stacked + block.shape[1:])
         if axis == -2:
             np.matmul(block, x[..., lo:hi, :], out=out[..., b:b + _BLOCK_ROWS, :])
         else:
-            np.matmul(x[..., lo:hi], block.T, out=out[..., b:b + _BLOCK_ROWS])
+            np.matmul(x[..., lo:hi], np.swapaxes(block, -1, -2),
+                      out=out[..., b:b + _BLOCK_ROWS])
     return out
 
 
-def temporal_filter(frames, taps):
+def temporal_filter(frames, taps, out=None):
     """Band-pass filter along the temporal axis, one output frame per input frame.
 
     Symmetric (half-sample mirror) boundary extension; the filter's group
     delay is compensated so output frame t is centered on input frame t.
+    taps is one filter, or a (B, L) bank of filters of one length whose
+    coefficients are (B, *frames.shape), band b those of taps[b] alone.
+    They are written into out if given, a C-contiguous float64 array of
+    that shape.
     """
     taps = np.asarray(taps, dtype=np.float64)
     n = frames.shape[0]
     if n < 2:
         raise ValueError("temporal filtering needs at least 2 frames")
-    _check_taps_fit(len(taps), n)
+    _check_taps_fit(taps.shape[-1], n)
 
     frames = np.asarray(frames, dtype=np.float64)
-    out = _mirror_filter(frames.reshape(n, -1), taps, -2).reshape(frames.shape)
+    bands = taps.shape[:-1]
+    if out is None:
+        out = np.empty(bands + frames.shape)
+    elif (out.shape != bands + frames.shape or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                         f"{bands + frames.shape}")
+    _mirror_filter(frames.reshape(n, -1), taps, -2, out=out.reshape(*bands, n, -1))
     return SubbandStack(out)
 
 

@@ -64,33 +64,55 @@ class GreedFeatures:
     config: GreedConfig = field(default_factory=GreedConfig)
 
 
+def _in_order_mean(planes):
+    """Mean over the first two axes of (patch, patch, ...) planes, in numpy's order.
+
+    Each of the first axis's rows is summed in order, then the row sums in
+    order: numpy's mean over fewer than 8 terms adds them so.
+    """
+    total = 0.0  # 0.0 + x starts each sum as a new array, not a view of the planes
+    for row_planes in planes:
+        row = 0.0
+        for plane in row_planes:
+            row += plane
+        total += row
+    return total / (len(planes) * len(planes[0]))
+
+
 def _patch_variances(frames, patch):
     """Variance of each non-overlapping patch, (..., T, H, W) to (..., T, P).
 
     This is the mean(axis=(2, 4)) of the (-1, rows, patch, cols, patch)
-    reshape, squares included. numpy adds fewer than 8 terms in order, so
-    below patch 8, on frames at least two patches wide, it sums each patch
-    row in order and then the row sums in order. There the same floats come
-    from one strided view per position in the patch, each squared only as
-    it is added, without a stack-sized square.
+    reshape, squares included. Below patch 8, on frames at least two
+    patches wide, the same floats come from one patch-major copy of it,
+    (patch, patch, -1, rows, cols): numpy's mean adds fewer than 8 terms
+    in order, and each plane of the copy is one position in the patch of
+    every patch. The copy is summed, squared in place and summed again, so
+    every sum runs over contiguous planes.
     """
     rows, cols = frames.shape[-2] // patch, frames.shape[-1] // patch
+    blocks = frames[..., :rows * patch, :cols * patch].reshape(-1, rows, patch, cols, patch)
     if patch >= 8 or cols == 1:
-        blocks = frames[..., :rows * patch, :cols * patch].reshape(-1, rows, patch, cols, patch)
         mean, sq = blocks.mean(axis=(2, 4)), np.square(blocks).mean(axis=(2, 4))
     else:
-        def patch_mean(square):
-            total = 0.0  # 0.0 + x starts each sum as a new array, not a view of the frames
-            for a in range(patch):
-                row = 0.0
-                for b in range(patch):
-                    v = frames[..., a:rows * patch:patch, b:cols * patch:patch]
-                    row += v * v if square else v
-                total += row
-            return total / (patch * patch)
+        planes = np.moveaxis(blocks, (2, 4), (0, 1)).copy()
+        mean = _in_order_mean(planes)
+        sq = _in_order_mean(np.square(planes, out=planes))
+    sq -= np.square(mean, out=mean)
+    return sq.reshape(*frames.shape[:-2], rows * cols)
 
-        mean, sq = patch_mean(False), patch_mean(True)
-    return (sq - mean * mean).reshape(*frames.shape[:-2], rows * cols)
+
+def _frame_statistics(frames, patch_size):
+    """Patch variances (..., T, P), second moments and kurtoses (..., T) of frames."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.shape[-2] < patch_size or frames.shape[-1] < patch_size:
+        raise ValueError(f"frames smaller than one {patch_size}x{patch_size} patch")
+    var_p = _patch_variances(frames, patch_size)
+    # Taken after the patch variances and squared in place: at most two copies of a stack.
+    sq = frames - frames.mean(axis=(-2, -1), keepdims=True)
+    m2 = np.square(sq, out=sq).mean(axis=(-2, -1))
+    m4 = np.square(sq, out=sq).mean(axis=(-2, -1))  # not centered ** 4: pow is 7x slower
+    return var_p, m2, np.divide(m4, m2 * m2, out=np.zeros_like(m2), where=m2 > 0)
 
 
 def block_entropies(frames, noise_var, patch_size=GreedConfig.patch_size):
@@ -101,25 +123,26 @@ def block_entropies(frames, noise_var, patch_size=GreedConfig.patch_size):
     non-overlapping patch from the noise-lifted patch variance. Each patch
     entropy is premultiplied by its log-variance scaling factor. A stack of
     B videos gives what B separate calls give.
+
+    frames may also be an iterator of stacks, each of its own shape: then
+    the result is a list of one EntropyField per stack, what separate calls
+    give. Each stack is reduced to its frame statistics and released before
+    the next is drawn, and all their frames share one bisection.
     """
     ggd.check_noise_var(noise_var)
     _check_patch_size(patch_size)
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape[-2] < patch_size or frames.shape[-1] < patch_size:
-        raise ValueError(f"frames smaller than one {patch_size}x{patch_size} patch")
-
-    var_p = _patch_variances(frames, patch_size)
-    # Taken after the patch variances and squared in place: at most two copies of a stack.
-    sq = frames - frames.mean(axis=(-2, -1), keepdims=True)
-    m2 = np.square(sq, out=sq).mean(axis=(-2, -1))
-    m4 = np.square(sq, out=sq).mean(axis=(-2, -1))  # not centered ** 4: pow is 7x slower
-    kurt = np.divide(m4, m2 * m2, out=np.zeros_like(m2), where=m2 > 0)
+    if not hasattr(frames, "__next__"):  # one array-like, not an iterator of them
+        return block_entropies(iter([frames]), noise_var, patch_size)[0]
+    stats = list(map(lambda stack: _frame_statistics(stack, patch_size), frames))
+    if not stats:
+        return []
+    m2, kurt = (np.concatenate([s[i].ravel() for s in stats]) for i in (1, 2))
 
     def per_frame(fn, *arrays):
-        """fn of each frame's values as Python floats, as an array of m2's shape."""
-        return np.array(list(map(fn, *(a.ravel().tolist() for a in arrays)))).reshape(m2.shape)
+        """fn of each frame's values as Python floats, as an array."""
+        return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=np.float64)
 
-    # One bisection for all the table's frames, bit-identical to the scalar
+    # One bisection for all the stacks' frames, bit-identical to the scalar
     # call per frame: every lane starts from the same interval, and each
     # midpoint's kurtosis, the noise channel's square and the GGD constants
     # stay libm pow, math.gamma and math.log per value, which numpy's vector
@@ -129,12 +152,16 @@ def block_entropies(frames, noise_var, patch_size=GreedConfig.patch_size):
     scale = per_frame(lambda beta: ggd.alpha_from_sigma_beta(1.0, beta), betas)
     h_unit = per_frame(lambda beta: ggd.ggd_entropy(1.0, beta), betas)
 
-    sigma = np.sqrt(var_p + noise_var)
-    alpha = sigma * scale[..., None]
-    # h(alpha, beta) = h(1, beta) + log(alpha)
-    h = h_unit[..., None] + np.log(alpha)
-    gamma = np.log1p(var_p + noise_var)
-    return EntropyField(gamma * h, betas)
+    fields, end = [], 0
+    for var_p, frame_m2, _ in stats:
+        start, end = end, end + frame_m2.size
+        lifted = var_p + noise_var
+        alpha = np.sqrt(lifted) * scale[start:end].reshape(frame_m2.shape)[..., None]
+        # h(alpha, beta) = h(1, beta) + log(alpha)
+        h = h_unit[start:end].reshape(frame_m2.shape)[..., None] + np.log(alpha)
+        fields.append(EntropyField(np.log1p(lifted) * h,
+                                   betas[start:end].reshape(frame_m2.shape)))
+    return fields
 
 
 def average_reference_entropies(ref_field, rate_ratio, n_out):
@@ -223,24 +250,32 @@ def compute_features(ref, dist, config=None, jobs=1):
         prev_s = s
         pyramids[s] = (r.frames, d.frames)
 
+    taps = np.array(bank.filters)
+
     def table(frames, spatial):
-        """block_entropies of spatial_ms(frames) if spatial, then of each band, stacked."""
-        stack = np.empty((spatial + len(bank.filters), *frames.shape))
+        """spatial_ms(frames) if spatial, then each band's coefficients, in one stack."""
+        stack = np.empty((spatial + len(taps), *frames.shape))
         if spatial:
             stack[0] = spatial_ms(frames)
-        for k, taps in enumerate(bank.filters):
-            stack[spatial + k] = temporal_filter(frames, taps).coeffs
-        return block_entropies(stack, cfg.noise_var, cfg.patch_size)
+        temporal_filter(frames, taps, out=stack[spatial:])
+        return stack
 
     def scale_features(s):
         """SGREED then the TGREED of each band, at scale s."""
         r, d = pyramids[s]
-        for rate in (1, ratio):
-            if (rate, s) not in state:
-                state[rate, s] = table(r, True) if rate == 1 else table(r[kept], False)
-        eps_d = table(d, True).values[:, :n]
+        missing = [rate for rate in dict.fromkeys((1, ratio)) if (rate, s) not in state]
+
+        def stacks():
+            """The reference's missing tables, then the distorted video's, one at a time."""
+            for rate in missing:
+                yield table(r, True) if rate == 1 else table(r[kept], False)
+            yield table(d, True)
+
+        *ref_fields, dist_field = block_entropies(stacks(), cfg.noise_var, cfg.patch_size)
+        state.update(zip(((rate, s) for rate in missing), ref_fields))
+        eps_d = dist_field.values[:, :n]
         eps_r_avg = average_reference_entropies(state[1, s], ratio, n_out=n).values
-        eps_p = state[ratio, s].values[-len(bank.filters):, :n]
+        eps_p = state[ratio, s].values[-len(taps):, :n]
         sgreed = np.mean(sgreed_frame(eps_r_avg[0], eps_d[0]))
         return [sgreed, *np.mean(tgreed_frame(eps_r_avg[1:], eps_p, eps_d[1:]), axis=-1)]
 

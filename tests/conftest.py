@@ -72,7 +72,7 @@ def scalar_beta_from_kurtosis(kappa):
 
 def block_entropies_frame_by_frame(frames, noise_var, patch_size):
     """block_entropies by reshape-and-mean patch variances and the scalar β
-    loop over frames, which strided accumulation and the batched bisection
+    loop over frames, which the patch-major sums and the batched bisection
     replaced; features.block_entropies must give these floats, bit for bit."""
     rows, cols = frames.shape[-2] // patch_size, frames.shape[-1] // patch_size
     blocks = frames[..., :rows * patch_size, :cols * patch_size].reshape(

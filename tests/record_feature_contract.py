@@ -23,7 +23,7 @@ TABLE = Path(__file__).with_name("feature_contract.json")
 # GreedConfig(scales, wavelet, levels, noise_var, patch). A case changes
 # only the entries it names of BASE: by default a 60 fps reference against
 # a 30 fps version (rate ratio 2), held in memory. Patches below 8 take the
-# strided patch sums, 8 and up numpy's reshape-and-mean, and patch 16 at
+# patch-major patch sums, 8 and up numpy's reshape-and-mean, and patch 16 at
 # scale 1 of 32 x 32 leaves the frame one patch wide. A `load` case writes
 # the pair as Y4M or raw 4:2:0 files, with seeded chroma, and scores what
 # load_y4m or load_raw_yuv reads back.

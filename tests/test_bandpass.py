@@ -123,6 +123,17 @@ def test_haar_level1_alignment(rng):
     np.testing.assert_allclose(out[:-1], expect, atol=1e-12)
 
 
+def test_temporal_filter_rejects_an_out_it_cannot_fill():
+    taps = np.array(build_packet_filters("haar", 2).filters)
+    frames = np.zeros((8, 2, 3))
+    for out in (np.empty((3, 8, 2, 2)),  # wrong shape
+                np.empty((3, 8, 3, 2)).transpose(0, 1, 3, 2),  # not C-contiguous
+                np.empty((3, 8, 2, 3), dtype=np.float32)):
+        with pytest.raises(ValueError, match=re.escape("out must be a C-contiguous float64 "
+                                                       "array of shape (3, 8, 2, 3)")):
+            temporal_filter(frames, taps, out=out)
+
+
 def test_filter_too_long_for_video():
     with pytest.raises(ValueError, match="too long"):
         temporal_filter(np.zeros((4, 2, 2)), np.zeros(17))

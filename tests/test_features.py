@@ -62,9 +62,36 @@ def test_block_entropies_scaling_recompute_oracle(rng):
         np.testing.assert_allclose(f2.values[t], expect, rtol=1e-9)
 
 
+def test_each_scale_takes_one_beta_bisection(monkeypatch):
+    # One bisection over all the frames of a scale's tables: the reference's
+    # 8 rows of 24 frames and the pseudo reference's 7 and the distorted
+    # video's 8 of 12 on the first call, the distorted video's alone after.
+    rng = np.random.default_rng(4)
+    frames = rng.uniform(0, 255, size=(24, 64, 64))
+    frames.setflags(write=False)
+    ref = LumaVideo(frames, 60)
+    dist = LumaVideo(np.clip(frames[::2] + rng.normal(0, 9, (12, 64, 64)), 0, 255), 30)
+    lanes = []
+    beta_from_kurtosis = ggd.beta_from_kurtosis
+    monkeypatch.setattr(ggd, "beta_from_kurtosis",
+                        lambda kappa: lanes.append(kappa.shape) or beta_from_kurtosis(kappa))
+    cfg = GreedConfig(scales=(1, 2))
+    first = compute_features(ref, dist, cfg).values
+    assert lanes == [(8 * 24 + 7 * 12 + 8 * 12,)] * 2
+    lanes.clear()
+    assert np.array_equal(compute_features(ref, dist, cfg).values, first)
+    assert lanes == [(8 * 12,)] * 2
+
+
+def test_block_entropies_of_no_stacks_is_an_empty_list():
+    assert block_entropies(iter([]), 0.1) == []
+
+
 def test_block_entropies_rejects_small_frames():
     with pytest.raises(ValueError):
         block_entropies(np.zeros((1, 4, 4)), 0.1)
+    with pytest.raises(ValueError, match="frames smaller than one 5x5 patch"):
+        block_entropies(iter([np.zeros((1, 5, 5)), np.zeros((1, 4, 5))]), 0.1)
 
 
 @pytest.mark.parametrize("noise_var", [0, -1, math.inf, math.nan])

@@ -209,14 +209,14 @@ def test_block_entropies_of_a_stack_equal_separate_calls(b, t, h, w, patch, seed
        st.integers(1, 12), st.sampled_from([1e-6, 0.1, 3.0, 100.0]),
        st.integers(0, 2 ** 32 - 1))
 @example(2, 3, 23, 12, 12, 0.1, 7)  # one patch wide, patch 12: the reshape path
-@example(2, 3, 14, 15, 7, 0.1, 7)  # two patches wide, patch 7: the strided path
+@example(2, 3, 14, 15, 7, 0.1, 7)  # two patches wide, patch 7: the patch-major path
 @example(2, 3, 16, 17, 8, 0.1, 7)  # two patches wide, patch 8: the reshape path
 @example(2, 3, 5, 3, 2, 0.1, 7)  # one patch wide, patch 2: the reshape path
 @example(2, 3, 9, 13, 7, 0.1, 7)  # one patch wide, patch 7: the reshape path
 def test_block_entropies_equal_the_frame_by_frame_loop(b, t, h, w, patch, noise_var, seed):
     # Bit for bit at every patch size: below patch 8, on frames at least two
-    # patches wide, the strided sums add in the order numpy's mean adds 7 or
-    # fewer terms; every other shape is numpy's own reshape-and-mean. The
+    # patches wide, the patch-major sums add in the order numpy's mean adds 7
+    # or fewer terms; every other shape is numpy's own reshape-and-mean. The
     # examples sit on both sides of that boundary in every run.
     assume(h >= patch and w >= patch)
     rng = np.random.default_rng(seed)
@@ -228,6 +228,49 @@ def test_block_entropies_equal_the_frame_by_frame_loop(b, t, h, w, patch, noise_
     want = block_entropies_frame_by_frame(stack, noise_var, patch)
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.frame_betas, want.frame_betas)
+
+
+
+@_SETTINGS
+@given(st.data(), st.integers(1, 12), st.sampled_from([1e-6, 0.1, 3.0, 100.0]))
+def test_block_entropies_of_batched_stacks_equal_separate_calls(data, patch, noise_var):
+    # Stacks of their own layer count, length and frame size share one
+    # bisection; each must still get what a call of its own gives.
+    shapes = data.draw(st.lists(st.tuples(st.integers(1, 9), st.integers(0, 6),
+                                          st.integers(patch, 30), st.integers(patch, 30)),
+                                max_size=4), label="shapes")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    stacks = []
+    for layers, t, h, w in shapes:
+        stack = rng.standard_t(rng.uniform(2.1, 30.0, size=(layers, t, 1, 1)),
+                               size=(layers, t, h, w))
+        stack *= rng.choice([0.0, 1e-3, 1.0, 40.0], size=(layers, t, 1, 1))
+        stacks.append(stack)
+    got = block_entropies(iter(stacks), noise_var, patch)
+    assert isinstance(got, list) and len(got) == len(stacks)
+    for field, stack in zip(got, stacks):
+        want = block_entropies(stack, noise_var, patch)
+        assert field.values.shape == want.values.shape
+        assert np.array_equal(field.values, want.values)
+        assert np.array_equal(field.frame_betas, want.frame_betas)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("wavelet", WAVELETS)
+@_SETTINGS
+@given(st.data())
+def test_bank_product_equals_temporal_filter_per_band(wavelet, levels, data):
+    # Lengths reach past the 64-row blocks; every band is written straight
+    # into a slice of a larger stack, as compute_features builds a table.
+    taps = np.array(build_packet_filters(wavelet, levels).filters)
+    n = data.draw(st.integers(max(2, -(-taps.shape[1] // 4)), 200), label="frames")
+    frames = _draw_samples(data, (n, 3, 4))
+    table = np.full((1 + len(taps), n, 3, 4), np.nan)
+    got = temporal_filter(frames, taps, out=table[1:]).coeffs
+    assert got.shape == (len(taps), n, 3, 4) and np.shares_memory(got, table)
+    assert np.isnan(table[0]).all()
+    for k in range(len(taps)):
+        assert np.array_equal(table[1 + k], temporal_filter(frames, taps[k]).coeffs)
 
 
 _EDGE_KURTOSES = [0.0, -0.0, math.inf, -math.inf, 3.0, 6.0,

@@ -20,7 +20,7 @@ import pytest
 
 from stgreed import features
 from stgreed.features import GreedConfig, compute_features
-from stgreed.video import LumaVideo, kept_indices, load_y4m
+from stgreed.video import LumaVideo, downsample, kept_indices, load_y4m
 
 from conftest import write_y4m
 
@@ -107,14 +107,29 @@ def test_second_call_at_a_rate_scores_only_the_distorted_video(ladder, monkeypat
     ref, cfg = LumaVideo(ref_frames, REF_FPS), GreedConfig()
     first = compute_features(ref, dists[fps], cfg).values
 
-    calls = []
-    block_entropies = features.block_entropies
-    monkeypatch.setattr(features, "block_entropies",
-                        lambda *args: calls.append(args) or block_entropies(*args))
+    # A table is one temporal_filter call on a video's pooled frames, and
+    # one stack that block_entropies draws.
+    filtered, drawn = [], []
+    temporal_filter, block_entropies = features.temporal_filter, features.block_entropies
+
+    def filter_and_record(frames, taps, **kwargs):
+        filtered.append(np.array(frames))
+        return temporal_filter(frames, taps, **kwargs)
+
+    def draw_and_record(stacks, *args):
+        return block_entropies((drawn.append(stack.shape) or stack for stack in stacks), *args)
+
+    monkeypatch.setattr(features, "temporal_filter", filter_and_record)
+    monkeypatch.setattr(features, "block_entropies", draw_and_record)
     assert np.array_equal(compute_features(ref, dists[fps], cfg).values, first)
-    # One table per scale, each a stack of the distorted video's frames.
-    assert len(calls) == len(cfg.scales)
-    assert all(args[0].shape[-3] == dists[fps].num_frames for args in calls)
+    # One table per scale, each built from the distorted video's pooled frames.
+    pooled, prev, want = dists[fps], 0, []
+    for s in sorted(cfg.scales):
+        pooled, prev = downsample(pooled, s - prev), s
+        want.append(pooled.frames)
+    assert len(filtered) == len(want)
+    assert all(np.array_equal(got, frames) for got, frames in zip(filtered, want))
+    assert drawn == [(8, *frames.shape) for frames in want]
 
 
 def test_writable_frames_are_not_memoised(ladder):
