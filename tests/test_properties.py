@@ -230,7 +230,6 @@ def test_block_entropies_equal_the_frame_by_frame_loop(b, t, h, w, patch, noise_
     assert np.array_equal(got.frame_betas, want.frame_betas)
 
 
-
 @_SETTINGS
 @given(st.data(), st.integers(1, 12), st.sampled_from([1e-6, 0.1, 3.0, 100.0]))
 def test_block_entropies_of_batched_stacks_equal_separate_calls(data, patch, noise_var):
