@@ -7,7 +7,7 @@ import sys
 
 from . import evaluate, svr
 from .bandpass import WAVELETS, build_packet_filters, check_band, check_bank_fits, temporal_filter
-from .features import GreedConfig, _check_jobs, append_cache_record, compute_features, read_cache
+from .features import GreedConfig, append_cache_record, compute_features, read_cache
 from .video import PIXEL_FORMATS, VideoFormatError, downsample, load_raw_yuv, load_y4m
 
 
@@ -74,14 +74,12 @@ def _load_video(path, args, fps_override=None):
 
 def cmd_features(args):
     cfg = _config(args)
-    _check_jobs(args.jobs)
     _check_out_path(args.cache)
     ref = _load_video(args.ref, args)
     for i, path in enumerate(args.dist):
         # Bind no name to the distorted video, so it is freed before the next
         # one is decoded.
-        feats = compute_features(ref, _load_video(path, args, fps_override=args.dist_fps),
-                                 cfg, jobs=args.jobs)
+        feats = compute_features(ref, _load_video(path, args, fps_override=args.dist_fps), cfg)
         if args.format == "csv":
             print(",".join(repr(float(v)) for v in feats.values))
         else:
@@ -99,7 +97,6 @@ def cmd_features(args):
 
 def cmd_score(args):
     cfg = _config(args)
-    _check_jobs(args.jobs)
     model = svr.load_model(args.model)
     if model.fingerprint and model.fingerprint != cfg.fingerprint():
         raise FingerprintMismatch(
@@ -107,7 +104,7 @@ def cmd_score(args):
             f"current config is {cfg.fingerprint()}")
     ref = _load_video(args.ref, args)
     dist = _load_video(args.dist, args, fps_override=args.dist_fps)
-    feats = compute_features(ref, dist, cfg, jobs=args.jobs)
+    feats = compute_features(ref, dist, cfg)
     print(repr(svr.predict(model, feats.values)))
     return 0
 
@@ -170,7 +167,6 @@ def build_parser():
                     "of possibly differing frame rates.")
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
-    jobs = _default(compute_features, "jobs")
 
     p = sub.add_parser("features", formatter_class=fmt,
                        help="compute the 16-D feature vector for a video pair, "
@@ -179,7 +175,6 @@ def build_parser():
     p.add_argument("dist", nargs="+",
                    help="distorted videos, each scored against REF in turn")
     p.add_argument("--dist-fps", help="frame rate of every distorted video (raw input)")
-    p.add_argument("--jobs", type=int, default=jobs, help="worker count")
     p.add_argument("--format", default="text", choices=["text", "csv"])
     p.add_argument("--cache", help="append one record per DIST to this feature cache file")
     p.add_argument("--content-id", help="content id recorded in the cache for every DIST")
@@ -193,7 +188,6 @@ def build_parser():
     p.add_argument("dist")
     p.add_argument("--model", required=True)
     p.add_argument("--dist-fps", help="frame rate of the distorted video (raw input)")
-    p.add_argument("--jobs", type=int, default=jobs, help="worker count")
     _add_config_args(p)
     _add_video_args(p)
     p.set_defaults(func=cmd_score)

@@ -206,11 +206,6 @@ def sgreed_frame(theta_ref, theta_dist):
     return np.mean(np.abs(theta_dist - theta_ref), axis=-1)
 
 
-def _check_jobs(jobs):
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-
 def compute_features(ref, dist, config=None, jobs=1):
     """Run the full pipeline on a reference/distorted pair.
 
@@ -222,9 +217,14 @@ def compute_features(ref, dist, config=None, jobs=1):
     spatial pooling commute). The reference's pooled frames and entropy
     tables are kept with the reference object, so later calls with the same
     reference reuse them; its frames must not change after it was built.
+
+    jobs threads score the scales, with the same bytes as one thread. The β
+    fits hold the GIL, so more threads save no time and cost memory; jobs
+    stays only because perfbench/ passes it, and ROADMAP.md plans its removal.
     """
     cfg = config or GreedConfig()
-    _check_jobs(jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if (ref.height, ref.width) != (dist.height, dist.width):
         raise ValueError(
             f"resolution mismatch: reference {ref.width}x{ref.height}, "

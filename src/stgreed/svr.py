@@ -445,6 +445,8 @@ def load_model(path):
             raise ValueError("numbers must be finite")
         if not (model.feature_scale > 0).all():
             raise ValueError("feature_scale must be > 0")
+        if model.dual_coeffs.ndim != 1:
+            raise ValueError(f"dual_coeffs must be (n_sv,), got {model.dual_coeffs.shape}")
         if sv.shape != (len(model.dual_coeffs), d):
             raise ValueError(f"support_vectors must be ({len(model.dual_coeffs)}, {d}), got {sv.shape}")
         if model.feature_scale.shape != (d,):

@@ -124,6 +124,9 @@ def _read_luma(f, offsets, height, width, dtype):
 
 
 _Y4M_MAGIC = b"YUV4MPEG2"
+# Longest stream or FRAME header line read, newline included: far above any
+# real header, so a file without a newline is not read to its end.
+_Y4M_HEADER_LIMIT = 1 << 16
 
 
 def load_y4m(path):
@@ -135,11 +138,11 @@ def load_y4m(path):
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        line = f.readline()
+        line = f.readline(_Y4M_HEADER_LIMIT)
         if not line.startswith(_Y4M_MAGIC):
             raise VideoFormatError(f"{path}: not a Y4M stream (bad magic at byte 0)")
         if not line.endswith(b"\n"):
-            raise VideoFormatError(f"{path}: unterminated stream header at byte {size}")
+            raise VideoFormatError(f"{path}: unterminated stream header at byte {len(line)}")
         nl = len(line) - 1
         header = line[len(_Y4M_MAGIC):nl].decode("ascii", errors="replace")
 
@@ -178,7 +181,7 @@ def load_y4m(path):
         pos = nl + 1
         while pos < size:
             f.seek(pos)
-            line = f.readline()
+            line = f.readline(_Y4M_HEADER_LIMIT)
             if not (line.startswith(b"FRAME") and line.endswith(b"\n")):
                 raise VideoFormatError(f"{path}: expected FRAME header at byte {pos}")
             payload = pos + len(line)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from stgreed import cli, svr
 from stgreed.cli import _config, build_parser, main
 from stgreed.evaluate import run_protocol, split_contents, train_model
-from stgreed.features import GreedConfig, append_cache_record, compute_features
+from stgreed.features import GreedConfig, append_cache_record
 from stgreed.video import PIXEL_FORMATS, VideoFormatError, load_raw_yuv, load_y4m
 
 from conftest import write_y4m
@@ -60,7 +60,7 @@ def test_features_deterministic_and_csv(video_pair, capsys):
             "--format", "csv"]
     assert main(argv) == 0
     first = capsys.readouterr().out
-    assert main(argv + ["--jobs", "4"]) == 0
+    assert main(argv) == 0
     assert capsys.readouterr().out == first
     values = np.array([float(v) for v in first.strip().split(",")])
     assert values.shape == (8,)
@@ -93,8 +93,6 @@ def test_features_frees_each_dist_before_decoding_the_next(video_pair, capsys,
     ("--levels", "0", "levels must be >= 1"),
     ("--patch", "0", "patch size must be >= 1, got 0"),
     ("--scales", "4,-1", "scale exponent must be >= 0"),
-    ("--jobs", "0", "jobs must be >= 1, got 0"),
-    ("--jobs", "-3", "jobs must be >= 1, got -3"),
 ])
 def test_features_rejects_a_bad_config_before_decoding(video_pair, capsys, monkeypatch,
                                                        flag, value, error):
@@ -104,13 +102,6 @@ def test_features_rejects_a_bad_config_before_decoding(video_pair, capsys, monke
     assert main(["features", ref, dist, f"{flag}={value}"]) == 2
     assert error in capsys.readouterr().err
     assert loads == []
-
-
-def test_score_checks_jobs_before_reading_the_model(video_pair, tmp_path, capsys):
-    ref, dist = video_pair
-    argv = ["score", ref, dist, "--model", str(tmp_path / "missing.json"), "--jobs", "0"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -282,8 +273,10 @@ def test_score_with_constant_model(video_pair, tmp_path, capsys):
      "support_vectors must be (2, 8), got (1, 16)"),
     (lambda payload: {**payload, "hyperparams": [1.0, 0.1, -2.0], "kernel_gamma": -2.0},
      "kernel_gamma must be finite and > 0, got -2.0"),
+    (lambda payload: {**payload, "support_vectors": [[0.0] * 8], "dual_coeffs": [[1.0]]},
+     "dual_coeffs must be (n_sv,), got (1, 1)"),
 ], ids=["not-an-object", "missing-field", "kernel-gamma-mismatch", "support-vector-shape",
-        "negative-kernel-gamma"])
+        "negative-kernel-gamma", "dual-coeffs-column"])
 def test_score_malformed_model_exits_2(video_pair, tmp_path, capsys, edit, error):
     ref, dist = video_pair
     model_path = tmp_path / "m.json"
@@ -479,8 +472,6 @@ def test_features_non_positive_patch_exits_2(video_pair, capsys, patch):
 @pytest.mark.parametrize("flag, value, error", [
     ("--noise-var", "inf", "noise variance must be finite and > 0, got inf"),
     ("--noise-var", "nan", "noise variance must be finite and > 0, got nan"),
-    ("--jobs", "0", "jobs must be >= 1, got 0"),
-    ("--jobs", "-3", "jobs must be >= 1, got -3"),
 ])
 def test_features_out_of_range_number_exits_2(video_pair, capsys, flag, value, error):
     ref, dist = video_pair
@@ -644,6 +635,16 @@ def test_help_exits_cleanly(cmd, capsys):
     assert "usage" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cmd", ["features", "score"])
+def test_jobs_is_not_an_option(video_pair, tmp_path, capsys, cmd):
+    ref, dist = video_pair
+    model = ["--model", str(tmp_path / "m.json")] if cmd == "score" else []
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, ref, dist, *model, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["features", "a.y4m", "b.y4m"],
     ["score", "a.y4m", "b.y4m", "--model", "m.json"],
@@ -676,10 +677,8 @@ def _move_default(monkeypatch, fn, name, value):
 # Per subcommand: the flags whose defaults are library signature defaults,
 # and the flags whose defaults only the CLI states.
 _SIGNATURE_DEFAULTS = {
-    "features": {"jobs": (compute_features, "jobs"),
-                 "pixel_format": (load_raw_yuv, "pixel_format")},
-    "score": {"jobs": (compute_features, "jobs"),
-              "pixel_format": (load_raw_yuv, "pixel_format")},
+    "features": {"pixel_format": (load_raw_yuv, "pixel_format")},
+    "score": {"pixel_format": (load_raw_yuv, "pixel_format")},
     "train": {"seed": (train_model, "seed")},
     "eval": {"trials": (run_protocol, "trials"), "seed": (run_protocol, "seed")},
     "histdump": {"pixel_format": (load_raw_yuv, "pixel_format")},

@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stgreed
 from stgreed import features, ggd
 from stgreed.bandpass import build_packet_filters
 from stgreed.features import (EntropyField, GreedConfig,
@@ -226,6 +231,49 @@ def test_compute_features_finite_and_job_invariant(rng):
     assert np.all(np.isfinite(f1.values))
     assert np.all(f1.values >= 0)
     np.testing.assert_array_equal(f1.values, f4.values)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_compute_features_rejects_non_positive_jobs_before_pooling(rng, monkeypatch, jobs):
+    pooled = []
+    monkeypatch.setattr(features, "downsample", lambda video, s: pooled.append(s))
+    v = LumaVideo(rng.uniform(0, 255, size=(16, 32, 32)), 60)
+    with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+        compute_features(v, v, GreedConfig(scales=(1,)), jobs=jobs)
+    assert pooled == []
+
+
+# One BLAS thread, so the scale threads are the only thing that differs. The
+# 160-frame reference takes the band product past its first block of 64 rows.
+_JOBS_CHILD = """
+import json
+import numpy as np
+from stgreed.features import GreedConfig, compute_features
+from stgreed.video import LumaVideo
+rng = np.random.default_rng(1)
+ref = rng.integers(0, 256, size=(160, 48, 48))
+dist = np.clip(ref[::2] + rng.integers(-20, 21, size=(80, 48, 48)), 0, 255)
+out = {}
+for patch in (5, 8):
+    cfg = GreedConfig(scales=(1, 2), patch_size=patch)
+    for jobs in (1, 2):
+        # Fresh videos per call, so no call reuses another's reference tables.
+        r, d = LumaVideo(ref.astype(np.uint8), 60), LumaVideo(dist.astype(np.uint8), 30)
+        values = compute_features(r, d, cfg, jobs=jobs).values
+        out[f"{patch} {jobs}"] = [float(v).hex() for v in values]
+print(json.dumps(out))
+"""
+
+
+def test_two_scale_threads_give_the_bytes_of_one():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    src = str(Path(stgreed.__file__).parents[1])
+    out = json.loads(subprocess.run([sys.executable, "-c", _JOBS_CHILD], cwd=src, env=env,
+                                    check=True, capture_output=True, text=True,
+                                    timeout=120).stdout)
+    for patch in (5, 8):
+        assert len(out[f"{patch} 1"]) == 16
+        assert out[f"{patch} 2"] == out[f"{patch} 1"]
 
 
 def test_additive_noise_raises_sgreed(rng):

@@ -339,6 +339,10 @@ def test_load_model_rejects_missing_field(tmp_path, rng, drop):
     ({"hyperparams": [10.0, -0.5, 0.5]}, "epsilon must be finite and >= 0, got -0.5"),
     ({"hyperparams": [10.0, 0.1, -2.0], "kernel_gamma": -2.0},
      "kernel_gamma must be finite and > 0, got -2.0"),
+    # A column of dual coefficients would make predict return a column too.
+    ({"support_vectors": [[0.5] * 4] * 2, "dual_coeffs": [[1.0], [-1.0]]},
+     r"dual_coeffs must be \(n_sv,\), got \(2, 1\)"),
+    ({"dual_coeffs": 1.0}, r"dual_coeffs must be \(n_sv,\), got \(\)"),
 ])
 def test_load_model_rejects_malformed_fields(tmp_path, rng, change, error):
     path, payload = _saved_payload(tmp_path, rng)

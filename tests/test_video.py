@@ -1,10 +1,11 @@
+import io
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stgreed.video import (LumaVideo, VideoFormatError, _read_luma, downsample,
-                           load_raw_yuv, load_y4m, make_pseudo_reference)
+from stgreed.video import (_Y4M_HEADER_LIMIT, LumaVideo, VideoFormatError, _read_luma,
+                           downsample, load_raw_yuv, load_y4m, make_pseudo_reference)
 
 from conftest import halve_repeatedly, write_y4m
 
@@ -289,6 +290,57 @@ def test_load_y4m_bad_frame_header_offset(tmp_path, third_frame):
     with pytest.raises(VideoFormatError) as exc:
         load_y4m(path)
     assert str(exc.value) == f"{path}: expected FRAME header at byte 232"
+
+
+class _CountingFile(io.FileIO):
+    """A raw file that counts the bytes read from it."""
+
+    bytes_read = 0
+
+    def readinto(self, b):
+        n = super().readinto(b)
+        self.bytes_read += n or 0
+        return n
+
+
+@pytest.mark.parametrize("head, error", [
+    (b"YUV4MPEG2 W16 H8 F30:1 C420",
+     f"unterminated stream header at byte {_Y4M_HEADER_LIMIT}"),
+    (b"YUV4MPEG2 W16 H8 F30:1 C420\n", "expected FRAME header at byte 28"),
+], ids=["stream-header", "frame-header"])
+def test_load_y4m_reads_a_header_without_newline_only_to_the_limit(tmp_path, monkeypatch,
+                                                                    head, error):
+    # A sparse 64 MiB file of zeros after the header: without a bound, the
+    # header read would take all of it.
+    path = tmp_path / "v.y4m"
+    with open(path, "wb") as f:
+        f.write(head)
+        f.truncate(64 << 20)
+    raw = []
+
+    def counting_open(p, mode):
+        raw.append(_CountingFile(p))
+        return io.BufferedReader(raw[-1])
+
+    monkeypatch.setattr("stgreed.video.open", counting_open, raising=False)
+    with pytest.raises(VideoFormatError) as exc:
+        load_y4m(path)
+    assert str(exc.value) == f"{path}: {error}"
+    assert len(raw) == 1 and 0 < raw[0].bytes_read <= 2 * _Y4M_HEADER_LIMIT
+
+
+def test_load_y4m_stream_header_up_to_the_limit(tmp_path):
+    luma = np.zeros((1, 6, 10), dtype=np.uint8)
+    frame = b"FRAME\n" + luma.tobytes() + bytes(2 * 3 * 5)
+    pad = _Y4M_HEADER_LIMIT - len(_Y4M_HEAD)  # an X tag filling the header to the limit
+    path = tmp_path / "v.y4m"
+    path.write_bytes(_Y4M_HEAD[:-1] + b" X" + b"x" * (pad - 2) + b"\n" + frame)
+    np.testing.assert_array_equal(load_y4m(path).frames, luma)
+    path.write_bytes(_Y4M_HEAD[:-1] + b" X" + b"x" * (pad - 1) + b"\n" + frame)
+    with pytest.raises(VideoFormatError) as exc:
+        load_y4m(path)
+    assert str(exc.value) == (f"{path}: unterminated stream header at byte "
+                              f"{_Y4M_HEADER_LIMIT}")
 
 
 def test_read_luma_rejects_a_short_read(tmp_path):
