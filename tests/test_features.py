@@ -234,11 +234,18 @@ def test_compute_features_finite_and_job_invariant(rng):
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
-def test_compute_features_rejects_non_positive_jobs_before_pooling(rng, monkeypatch, jobs):
+def test_compute_features_rejects_non_positive_jobs(rng, jobs):
+    v = LumaVideo(rng.uniform(0, 255, size=(16, 32, 32)), 60)
+    with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+        compute_features(v, v, GreedConfig(scales=(1,)), jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_compute_features_checks_jobs_before_downsampling(rng, monkeypatch, jobs):
     pooled = []
     monkeypatch.setattr(features, "downsample", lambda video, s: pooled.append(s))
     v = LumaVideo(rng.uniform(0, 255, size=(16, 32, 32)), 60)
-    with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+    with pytest.raises(ValueError):
         compute_features(v, v, GreedConfig(scales=(1,)), jobs=jobs)
     assert pooled == []
 
