@@ -33,7 +33,7 @@ _WAVELETS = {
     "bior2.2": (_BIOR22_LO, _BIOR22_HI),
 }
 WAVELETS = tuple(_WAVELETS)
-_PRINTABLE_LEVELS = 64  # past this, counts of about 2**levels are too long to print
+_MAX_LEVELS = 64  # at 65, each band's 2**65 taps or more need 2**63 frames: no numpy axis fits
 
 
 @dataclass(frozen=True)
@@ -60,27 +60,25 @@ def _gray(n):
     return n ^ (n >> 1)
 
 
+def _check_levels(levels):
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
+    if levels > _MAX_LEVELS:
+        raise ValueError(f"levels must be <= {_MAX_LEVELS}, got {levels}")
+
+
 def _analysis_pair(wavelet_name, levels):
     if wavelet_name not in _WAVELETS:
         raise ValueError(f"unknown wavelet {wavelet_name!r}; choose from {sorted(_WAVELETS)}")
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    _check_levels(levels)
     return _WAVELETS[wavelet_name]
 
 
-def _check_taps_fit(length, n_frames, what="temporal filter too long", levels=0):
-    """Reject a filter of length taps on n_frames frames: at most 4 taps per frame.
-
-    A bank of more levels than _PRINTABLE_LEVELS is named by its level
-    count, as its tap count is too long to print.
-    """
-    if 4 * n_frames >= length:
-        return
-    if levels > _PRINTABLE_LEVELS:
-        raise ValueError(f"{what}: {levels} levels need at least 2**{levels - 2} frames, "
+def _check_taps_fit(length, n_frames, what="temporal filter too long"):
+    """Reject a filter of length taps on n_frames frames: at most 4 taps per frame."""
+    if 4 * n_frames < length:
+        raise ValueError(f"{what}: {length} taps need at least {-(-length // 4)} frames, "
                          f"got {n_frames}")
-    raise ValueError(f"{what}: {length} taps need at least {-(-length // 4)} frames, "
-                     f"got {n_frames}")
 
 
 def check_bank_fits(wavelet_name, levels, n_frames):
@@ -91,14 +89,14 @@ def check_bank_fits(wavelet_name, levels, n_frames):
     """
     lo, _ = _analysis_pair(wavelet_name, levels)
     _check_taps_fit((len(lo) - 1) * (2 ** levels - 1) + 1, n_frames,
-                    "video too short for the temporal filter bank", levels)
+                    "video too short for the temporal filter bank")
 
 
 def check_band(levels, band):
     """Reject a 1-based band index outside the 2**levels - 1 bands of the bank."""
+    _check_levels(levels)
     if not 1 <= band < 2 ** levels:
-        top = 2 ** levels - 1 if levels <= _PRINTABLE_LEVELS else f"2**{levels} - 1"
-        raise ValueError(f"band must be in [1, {top}]")
+        raise ValueError(f"band must be in [1, {2 ** levels - 1}]")
 
 
 def build_packet_filters(wavelet_name, levels):

@@ -146,7 +146,7 @@ def cmd_eval(args):
 
 
 def cmd_histdump(args):
-    # A bad wavelet, level count, scale, band or bin count is rejected before decoding.
+    # A bad wavelet, level count, scale, band or bin count below 2 fails before decoding.
     GreedConfig(wavelet=args.wavelet, levels=args.levels, scales=(args.scale,))
     check_band(args.levels, args.band)
     evaluate._check_counts(bins=args.bins)

@@ -349,8 +349,8 @@ def dump_histogram(coeffs, bins):
     """
     _check_counts(bins=bins)
     coeffs = np.asarray(coeffs, dtype=np.float64).ravel()
-    if coeffs.size == 0:
-        raise ValueError("empty coefficient stack")
+    if bins > coeffs.size:  # an empty stack too; checked before np.histogram allocates the bins
+        raise ValueError(f"bins must be <= the {coeffs.size} coefficients, got {bins}")
     r = float(np.max(np.abs(coeffs)))
     if r == 0.0:
         r = 0.5

@@ -449,8 +449,9 @@ def load_model(path):
             raise ValueError(f"dual_coeffs must be (n_sv,), got {model.dual_coeffs.shape}")
         if sv.shape != (len(model.dual_coeffs), d):
             raise ValueError(f"support_vectors must be ({len(model.dual_coeffs)}, {d}), got {sv.shape}")
-        if model.feature_scale.shape != (d,):
-            raise ValueError(f"feature_scale must be ({d},), got {model.feature_scale.shape}")
+        for name in ("feature_shift", "feature_scale"):
+            if getattr(model, name).shape != (d,):
+                raise ValueError(f"{name} must be ({d},), got {getattr(model, name).shape}")
         C, epsilon, gamma = model.hyperparams
         if float(payload["kernel_gamma"]) != gamma:
             raise ValueError("kernel_gamma differs from hyperparams[2]")

@@ -56,11 +56,15 @@ def test_check_bank_fits_knows_every_band_length(wavelet, levels):
 @pytest.mark.parametrize("levels", [1, 3, 64, 65])
 def test_check_band_knows_the_band_count(levels):
     n_bands = len(build_packet_filters("haar", levels).filters) if levels <= 5 else 2 ** levels - 1
-    top = str(n_bands) if levels <= 64 else f"2**{levels} - 1"
+    if levels > 64:  # no numpy axis is long enough for a bank this deep
+        for band in (0, 1, n_bands, n_bands + 1):
+            with pytest.raises(ValueError, match=rf"^levels must be <= 64, got {levels}$"):
+                check_band(levels, band)
+        return
     for band in (1, n_bands):
         check_band(levels, band)
     for band in (0, n_bands + 1):
-        with pytest.raises(ValueError, match=rf"^band must be in \[1, {re.escape(top)}\]$"):
+        with pytest.raises(ValueError, match=rf"^band must be in \[1, {n_bands}\]$"):
             check_band(levels, band)
 
 

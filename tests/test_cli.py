@@ -91,6 +91,7 @@ def test_features_frees_each_dist_before_decoding_the_next(video_pair, capsys,
 @pytest.mark.parametrize("flag, value, error", [
     ("--noise-var", "inf", "noise variance must be finite and > 0, got inf"),
     ("--levels", "0", "levels must be >= 1"),
+    ("--levels", "65", "levels must be <= 64, got 65"),
     ("--patch", "0", "patch size must be >= 1, got 0"),
     ("--scales", "4,-1", "scale exponent must be >= 0"),
 ])
@@ -109,12 +110,10 @@ def test_features_rejects_a_bad_config_before_decoding(video_pair, capsys, monke
      "downsampling by 2**20000 would shrink 16x16 below 1x1"),
     (["histdump", "V", "--scale", "20000", "--levels", "1", "--band", "1", "--wavelet", "haar"],
      "downsampling by 2**20000 would shrink 16x16 below 1x1"),
-    (["features", "V", "V", "--levels", "100000"],
-     "video too short for the temporal filter bank: 100000 levels need at least 2**99998 "
-     "frames, got 4"),
+    (["features", "V", "V", "--levels", "100000"], "levels must be <= 64, got 100000"),
 ], ids=["features-scales", "histdump-scale", "features-levels"])
 def test_huge_exponent_exits_2_naming_it(tmp_path, rng, capsys, argv, error):
-    # 2**20000 and 2**100000 have more digits than Python converts to text.
+    # 2**20000 has more digits than Python converts to text.
     path = tmp_path / "v.y4m"
     write_y4m(path, rng.uniform(0, 255, size=(4, 16, 16)))
     assert main([str(path) if a == "V" else a for a in argv]) == 2
@@ -131,12 +130,23 @@ def _write_ten_bit_twins(stem, codes, fps):
     Path(f"{stem}.yuv").write_bytes(b"".join(planes))
 
 
-def test_ten_bit_y4m_and_raw_twin_print_identical_features(tmp_path, rng, capsys):
-    ref = rng.integers(0, 1024, size=(12, 32, 32))
-    dist = np.clip(ref[::2] + rng.integers(-40, 41, size=(6, 32, 32)), 0, 1023)
+@pytest.mark.parametrize("n_ref, halve, flags", [
+    (12, False, ["--wavelet", "haar"]),
+    # The default bior2.2 bank needs 9 frames. At --patch 8 the patch variances
+    # are numpy's reshape-and-mean instead of the default patch's patch-major sums.
+    (24, True, []),
+    (24, True, ["--patch", "8"]),
+], ids=["haar", "bior2.2-patch-5", "bior2.2-patch-8"])
+def test_ten_bit_y4m_and_raw_twin_print_identical_features(tmp_path, rng, capsys, n_ref, halve,
+                                                           flags):
+    ref = rng.integers(0, 1024, size=(n_ref, 32, 32))
+    if halve:
+        dist = ref[::2] // 2
+    else:
+        dist = np.clip(ref[::2] + rng.integers(-40, 41, size=ref[::2].shape), 0, 1023)
     _write_ten_bit_twins(tmp_path / "ref", ref, 60)
     _write_ten_bit_twins(tmp_path / "dist", dist, 30)
-    flags = ["--scales", "0,1", "--wavelet", "haar", "--format", "csv"]
+    flags = ["--scales", "0,1", *flags, "--format", "csv"]
     assert main(["features", str(tmp_path / "ref.y4m"), str(tmp_path / "dist.y4m"),
                  *flags]) == 0
     from_y4m = capsys.readouterr().out
@@ -275,8 +285,11 @@ def test_score_with_constant_model(video_pair, tmp_path, capsys):
      "kernel_gamma must be finite and > 0, got -2.0"),
     (lambda payload: {**payload, "support_vectors": [[0.0] * 8], "dual_coeffs": [[1.0]]},
      "dual_coeffs must be (n_sv,), got (1, 1)"),
+    # A column would broadcast against a feature vector and score it wrong.
+    (lambda payload: {**payload, "feature_shift": [[v] for v in payload["feature_shift"]]},
+     "feature_shift must be (8,), got (8, 1)"),
 ], ids=["not-an-object", "missing-field", "kernel-gamma-mismatch", "support-vector-shape",
-        "negative-kernel-gamma", "dual-coeffs-column"])
+        "negative-kernel-gamma", "dual-coeffs-column", "feature-shift-column"])
 def test_score_malformed_model_exits_2(video_pair, tmp_path, capsys, edit, error):
     ref, dist = video_pair
     model_path = tmp_path / "m.json"
@@ -540,6 +553,18 @@ def test_histdump(tmp_path, rng, capsys):
     assert np.sum(density) * (centers[1] - centers[0]) == pytest.approx(1.0)
 
 
+def test_histdump_bins_above_the_coefficient_count_exit_2(tmp_path, rng, capsys):
+    # 16 frames of 4x4 pooled samples: 256 coefficients, so 256 bins at most
+    path = tmp_path / "v.y4m"
+    write_y4m(path, rng.uniform(0, 255, size=(16, 8, 8)), fps_num=30)
+    argv = ["histdump", str(path), "--scale", "1", "--wavelet", "haar"]
+    assert main([*argv, "--bins", "256"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 256
+    assert main([*argv, "--bins", "257"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: bins must be <= the 256 coefficients, got 257\n")
+
+
 def test_histdump_rejects_short_clip_before_building_the_bank(tmp_path, rng, capsys,
                                                              monkeypatch):
     # bior2.2 at 9 levels has 2556 taps, so 16 frames are far too few
@@ -568,11 +593,13 @@ def test_histdump_band_out_of_range(tmp_path, rng, capsys):
     (["--band", "9"], "band must be in [1, 7]"),
     (["--levels", "2"], "band must be in [1, 3]"),  # the default --band 4
     (["--levels", "0"], "levels must be >= 1"),
-    (["--levels", "100000", "--band", "0"], "band must be in [1, 2**100000 - 1]"),
+    (["--levels", "100000", "--band", "0"], "levels must be <= 64, got 100000"),
     (["--scale", "-1"], "scale exponent must be >= 0"),
     (["--bins", "1"], "need at least 2 bins"),
+    # 2**100000000, this bank's band count, takes about a second to compute.
+    (["--levels", "100000000"], "levels must be <= 64, got 100000000"),
 ], ids=["band-9", "levels-2-default-band-4", "levels-0", "levels-100000-band-0", "scale--1",
-        "bins-1"])
+        "bins-1", "levels-100000000"])
 def test_histdump_checks_band_and_levels_before_decoding(tmp_path, capsys, extra, error):
     assert main(["histdump", str(tmp_path / "missing.y4m"), *extra]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"

@@ -275,18 +275,22 @@ import json, os, sys
 from fractions import Fraction
 cores = int(sys.argv[1])
 os.sched_getaffinity = lambda pid: set(range(cores))  # as the pin_cores fixture does
-from stgreed.evaluate import DatasetRow, run_protocol
+from stgreed.evaluate import DatasetRow, run_protocol, train_model
 data = json.load(sys.stdin)
 rows = [DatasetRow(c, ref, dist, Fraction(30), dmos) for c, ref, dist, dmos in data["rows"]]
 features = {(r.ref, r.dist): {"values": v} for r, v in zip(rows, data["values"])}
 print(repr(run_protocol(rows, features, trials=1, seed=2, grid=data["grid"]).per_trial))
+model = train_model(rows, features, seed=2, grid=data["grid"])
+print(repr((model.hyperparams, float.hex(model.bias),
+            [float.hex(float(b)) for b in model.dual_coeffs])))
 """
 
 
-def test_run_protocol_does_not_depend_on_blas_threads_or_cores(rng):
+def test_run_protocol_and_train_model_do_not_depend_on_blas_threads_or_cores(rng):
     # The kernels' matmuls and the face steps' matvecs run in BLAS, whose
-    # thread count taskset changes; their bytes must not follow it. The
-    # grid's C = 1000 fit runs long enough to take face steps.
+    # thread count taskset changes; their bytes must not follow it, in the
+    # protocol's report or in train_model's model. The grid's C = 1000 fit
+    # runs long enough to take face steps.
     rows, features = _synthetic_dataset(rng, n_contents=10, per_content=12, noise=5.0)
     data = {"rows": [(r.content_id, r.ref, r.dist, r.dmos) for r in rows],
             "values": [list(features[(r.ref, r.dist)]["values"]) for r in rows],
@@ -298,7 +302,7 @@ def test_run_protocol_does_not_depend_on_blas_threads_or_cores(rng):
         reports.append(subprocess.run([sys.executable, "-c", _THREADS_CHILD, threads], cwd=src,
                                       env=env, check=True, input=json.dumps(data),
                                       capture_output=True, text=True, timeout=120).stdout)
-    assert ast.literal_eval(reports[0])["grid_face_steps"][0] > 0
+    assert ast.literal_eval(reports[0].splitlines()[0])["grid_face_steps"][0] > 0
     assert reports[0] == reports[1]
 
 
@@ -338,6 +342,14 @@ def test_dump_histogram_matches_gaussian(rng):
     expect = np.exp(-centers ** 2 / 2) / np.sqrt(2 * np.pi)
     mid = np.abs(centers) < 2.0
     np.testing.assert_allclose(density[mid], expect[mid], rtol=0.1)
+
+
+def test_dump_histogram_has_at_most_one_bin_per_coefficient():
+    coeffs = np.arange(36.0).reshape(4, 3, 3)
+    centers, density = dump_histogram(coeffs, 36)
+    assert len(centers) == len(density) == 36
+    with pytest.raises(ValueError, match=r"^bins must be <= the 36 coefficients, got 37$"):
+        dump_histogram(coeffs, 37)
 
 
 def test_format_histogram():

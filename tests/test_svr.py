@@ -343,6 +343,8 @@ def test_load_model_rejects_missing_field(tmp_path, rng, drop):
     ({"support_vectors": [[0.5] * 4] * 2, "dual_coeffs": [[1.0], [-1.0]]},
      r"dual_coeffs must be \(n_sv,\), got \(2, 1\)"),
     ({"dual_coeffs": 1.0}, r"dual_coeffs must be \(n_sv,\), got \(\)"),
+    # A column would broadcast against a feature vector and score it wrong.
+    ({"feature_shift": [[0.0]] * 4}, r"feature_shift must be \(4,\), got \(4, 1\)"),
 ])
 def test_load_model_rejects_malformed_fields(tmp_path, rng, change, error):
     path, payload = _saved_payload(tmp_path, rng)
