@@ -3,7 +3,6 @@
 import hashlib
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -218,8 +217,8 @@ def compute_features(ref, dist, config=None, jobs=1):
     tables are kept with the reference object, so later calls with the same
     reference reuse them; its frames must not change after it was built.
 
-    jobs threads score the scales, with the same bytes as one thread. The β
-    fits hold the GIL, so more threads save no time and cost memory; jobs
+    The call runs on the calling thread, with one β bisection for the
+    frames of all its tables. jobs must be >= 1 and does nothing else; it
     stays only because perfbench/ passes it, and ROADMAP.md plans its removal.
     """
     cfg = config or GreedConfig()
@@ -251,36 +250,36 @@ def compute_features(ref, dist, config=None, jobs=1):
         pyramids[s] = (r.frames, d.frames)
 
     taps = np.array(bank.filters)
+    # Per scale, the reference's missing tables, keyed (rate, s) as in the
+    # memo, then the distorted video's, keyed (None, s).
+    keys = []
+    for s in dict.fromkeys(cfg.scales):
+        keys += [(rate, s) for rate in dict.fromkeys((1, ratio)) if (rate, s) not in state]
+        keys.append((None, s))
 
-    def table(frames, spatial):
-        """spatial_ms(frames) if spatial, then each band's coefficients, in one stack."""
+    def table(key):
+        """spatial_ms(frames), except for the pseudo reference, then each band's
+        coefficients, in one stack."""
+        rate, s = key
+        r, d = pyramids[s]
+        frames, spatial = (d, True) if rate is None else (r, True) if rate == 1 else (r[kept], False)
         stack = np.empty((spatial + len(taps), *frames.shape))
         if spatial:
             stack[0] = spatial_ms(frames)
         temporal_filter(frames, taps, out=stack[spatial:])
         return stack
 
-    def scale_features(s):
-        """SGREED then the TGREED of each band, at scale s."""
-        r, d = pyramids[s]
-        missing = [rate for rate in dict.fromkeys((1, ratio)) if (rate, s) not in state]
-
-        def stacks():
-            """The reference's missing tables, then the distorted video's, one at a time."""
-            for rate in missing:
-                yield table(r, True) if rate == 1 else table(r[kept], False)
-            yield table(d, True)
-
-        *ref_fields, dist_field = block_entropies(stacks(), cfg.noise_var, cfg.patch_size)
-        state.update(zip(((rate, s) for rate in missing), ref_fields))
-        eps_d = dist_field.values[:, :n]
+    # map builds each table only as block_entropies draws it.
+    fields = dict(zip(keys, block_entropies(map(table, keys), cfg.noise_var, cfg.patch_size)))
+    state.update({key: f for key, f in fields.items() if key[0] is not None})
+    values = []
+    for s in cfg.scales:
+        eps_d = fields[None, s].values[:, :n]
         eps_r_avg = average_reference_entropies(state[1, s], ratio, n_out=n).values
         eps_p = state[ratio, s].values[-len(taps):, :n]
-        sgreed = np.mean(sgreed_frame(eps_r_avg[0], eps_d[0]))
-        return [sgreed, *np.mean(tgreed_frame(eps_r_avg[1:], eps_p, eps_d[1:]), axis=-1)]
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return GreedFeatures(np.concatenate(list(pool.map(scale_features, cfg.scales))), cfg)
+        values += [np.mean(sgreed_frame(eps_r_avg[0], eps_d[0])),
+                   *np.mean(tgreed_frame(eps_r_avg[1:], eps_p, eps_d[1:]), axis=-1)]
+    return GreedFeatures(np.array(values), cfg)
 
 
 # ---------------------------------------------------------------------------

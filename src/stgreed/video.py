@@ -15,7 +15,7 @@ def _as_fraction(fps):
     """Parse a frame rate (number, Fraction or text such as "30000/1001")."""
     try:
         f = Fraction(fps)
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:  # OverflowError: ±inf
         raise ValueError(f"invalid fps {fps!r}") from e
     if f <= 0:
         raise ValueError(f"fps must be positive, got {fps}")

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,10 +68,11 @@ def test_block_entropies_scaling_recompute_oracle(rng):
         np.testing.assert_allclose(f2.values[t], expect, rtol=1e-9)
 
 
-def test_each_scale_takes_one_beta_bisection(monkeypatch):
-    # One bisection over all the frames of a scale's tables: the reference's
-    # 8 rows of 24 frames and the pseudo reference's 7 and the distorted
-    # video's 8 of 12 on the first call, the distorted video's alone after.
+def test_each_call_takes_one_beta_bisection(monkeypatch):
+    # One bisection over all the frames of the call's tables: per scale, the
+    # reference's 8 rows of 24 frames and the pseudo reference's 7 and the
+    # distorted video's 8 of 12 on the first call, the distorted video's
+    # alone after.
     rng = np.random.default_rng(4)
     frames = rng.uniform(0, 255, size=(24, 64, 64))
     frames.setflags(write=False)
@@ -82,10 +84,21 @@ def test_each_scale_takes_one_beta_bisection(monkeypatch):
                         lambda kappa: lanes.append(kappa.shape) or beta_from_kurtosis(kappa))
     cfg = GreedConfig(scales=(1, 2))
     first = compute_features(ref, dist, cfg).values
-    assert lanes == [(8 * 24 + 7 * 12 + 8 * 12,)] * 2
+    assert lanes == [(2 * (8 * 24 + 7 * 12 + 8 * 12),)]
     lanes.clear()
     assert np.array_equal(compute_features(ref, dist, cfg).values, first)
-    assert lanes == [(8 * 12,)] * 2
+    assert lanes == [(2 * 8 * 12,)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_compute_features_starts_no_thread(rng, monkeypatch, jobs):
+    def start(thread):
+        raise AssertionError("compute_features started a thread")
+
+    ref = LumaVideo(rng.uniform(0, 255, size=(24, 32, 32)), 60)
+    dist = LumaVideo(rng.uniform(0, 255, size=(12, 32, 32)), 30)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert compute_features(ref, dist, GreedConfig(scales=(1, 2)), jobs=jobs).values.shape == (16,)
 
 
 def test_block_entropies_of_no_stacks_is_an_empty_list():

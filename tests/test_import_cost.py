@@ -40,3 +40,9 @@ def test_import_loads_no_process_pool():
     # concurrent.futures.process about 15 ms (same guest).
     assert _loaded_by_import("multiprocessing") == set()
     assert "concurrent.futures.process" not in _loaded_by_import("concurrent")
+
+
+def test_import_loads_no_concurrent_futures():
+    # compute_features runs on the calling thread, and grid_search imports
+    # its process pool only when it starts workers.
+    assert _loaded_by_import("concurrent") == set()

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from stgreed.video import (_Y4M_HEADER_LIMIT, LumaVideo, VideoFormatError, _read_luma,
-                           downsample, load_raw_yuv, load_y4m, make_pseudo_reference)
+                           downsample, kept_indices, load_raw_yuv, load_y4m,
+                           make_pseudo_reference)
 
 from conftest import halve_repeatedly, write_y4m
 
@@ -384,3 +385,14 @@ def test_video_rejects_non_finite_frames(bad):
     with pytest.raises(ValueError, match="frames must be finite"):
         LumaVideo(frames, 30)
     assert LumaVideo(np.zeros((2, 4, 4), dtype=np.uint8), 30).num_frames == 2
+
+
+@pytest.mark.parametrize("fps", [float("inf"), float("-inf")])
+@pytest.mark.parametrize("call", [
+    lambda fps: LumaVideo(np.zeros((1, 2, 2)), fps),
+    lambda fps: kept_indices(4, fps, 30),
+    lambda fps: load_raw_yuv("unread.yuv", 2, 2, fps),  # the rate is checked before the file
+], ids=["LumaVideo", "kept_indices", "load_raw_yuv"])
+def test_infinite_fps_is_an_invalid_fps(call, fps):
+    with pytest.raises(ValueError, match=f"^invalid fps {fps!r}$"):
+        call(fps)
