@@ -63,31 +63,17 @@ class GreedFeatures:
     config: GreedConfig = field(default_factory=GreedConfig)
 
 
-def _in_order_mean(planes):
-    """Mean over the first two axes of (patch, patch, ...) planes, in numpy's order.
-
-    Each of the first axis's rows is summed in order, then the row sums in
-    order: numpy's mean over fewer than 8 terms adds them so.
-    """
-    total = 0.0  # 0.0 + x starts each sum as a new array, not a view of the planes
-    for row_planes in planes:
-        row = 0.0
-        for plane in row_planes:
-            row += plane
-        total += row
-    return total / (len(planes) * len(planes[0]))
-
-
 def _patch_variances(frames, patch):
     """Variance of each non-overlapping patch, (..., T, H, W) to (..., T, P).
 
     This is the mean(axis=(2, 4)) of the (-1, rows, patch, cols, patch)
     reshape, squares included. Below patch 8, on frames at least two
-    patches wide, the same floats come from one patch-major copy of it,
-    (patch, patch, -1, rows, cols): numpy's mean adds fewer than 8 terms
-    in order, and each plane of the copy is one position in the patch of
-    every patch. The copy is summed, squared in place and summed again, so
-    every sum runs over contiguous planes.
+    patches wide, that mean adds each patch row in order and then the row
+    sums, and the same floats come from one patch-major copy of it,
+    (patch, patch, -1, rows, cols): numpy sums a contiguous array over a
+    leading axis in order, one whole plane (one position in the patch of
+    every patch) at a time. The copy is summed over its second axis and
+    then its first, squared in place and summed again.
     """
     rows, cols = frames.shape[-2] // patch, frames.shape[-1] // patch
     blocks = frames[..., :rows * patch, :cols * patch].reshape(-1, rows, patch, cols, patch)
@@ -95,8 +81,8 @@ def _patch_variances(frames, patch):
         mean, sq = blocks.mean(axis=(2, 4)), np.square(blocks).mean(axis=(2, 4))
     else:
         planes = np.moveaxis(blocks, (2, 4), (0, 1)).copy()
-        mean = _in_order_mean(planes)
-        sq = _in_order_mean(np.square(planes, out=planes))
+        mean = planes.sum(axis=1).sum(axis=0) / patch**2
+        sq = np.square(planes, out=planes).sum(axis=1).sum(axis=0) / patch**2
     sq -= np.square(mean, out=mean)
     return sq.reshape(*frames.shape[:-2], rows * cols)
 
@@ -215,11 +201,13 @@ def compute_features(ref, dist, config=None, jobs=1):
     reference is the frame-dropped pooled reference (frame dropping and
     spatial pooling commute). The reference's pooled frames and entropy
     tables are kept with the reference object, so later calls with the same
-    reference reuse them; its frames must not change after it was built.
+    reference reuse them, but only when no array behind its frames can be
+    written: a caller that turns writing back on in its own array and
+    writes gets the features of the old frames.
 
     The call runs on the calling thread, with one β bisection for the
     frames of all its tables. jobs must be >= 1 and does nothing else; it
-    stays only because perfbench/ passes it, and ROADMAP.md plans its removal.
+    stays only because perfbench/ passes it.
     """
     cfg = config or GreedConfig()
     if jobs < 1:

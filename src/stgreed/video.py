@@ -89,8 +89,9 @@ PIXEL_FORMATS = ("yuv420p", "yuv420p10le")  # raw YUV input: 4:2:0, 8-bit or 10-
 
 def _frozen(frames):
     """True when no array in frames' base chain can be written and the chain
-    ends in an array that owns its memory, so work derived from frames cannot
-    go stale."""
+    ends in an array that owns its memory. Work derived from frames then goes
+    stale only if the caller holding that owning array turns writing back on
+    and writes: the memo trusts such an owner not to."""
     a = frames
     while isinstance(a, np.ndarray):
         if a.flags.writeable:
@@ -170,7 +171,8 @@ def load_y4m(path):
         ten_bit = chroma.endswith("p10")
         base = chroma[:-3] if ten_bit else chroma
         if base not in _CHROMA_SAMPLES:
-            raise VideoFormatError(f"{path}: unsupported chroma tag C{chroma}")
+            raise VideoFormatError(
+                f"{path}: unsupported chroma tag C{chroma} (header ends at byte {nl})")
 
         dtype = np.dtype("<u2" if ten_bit else np.uint8)
         frame_bytes = (width * height + _CHROMA_SAMPLES[base](width, height)) * dtype.itemsize
@@ -193,7 +195,7 @@ def load_y4m(path):
             pos = payload + frame_bytes
 
         if not offsets:
-            raise VideoFormatError(f"{path}: stream contains no frames")
+            raise VideoFormatError(f"{path}: stream contains no frames (header ends at byte {nl})")
         return LumaVideo(_read_luma(f, offsets, height, width, dtype), fps)
 
 

@@ -99,6 +99,12 @@ def test_temporal_filter_constant_video():
     np.testing.assert_allclose(out, 0.0, atol=1e-10)
 
 
+def test_temporal_filter_rejects_a_single_frame():
+    bank = build_packet_filters("haar", 1)
+    with pytest.raises(ValueError, match="^temporal filtering needs at least 2 frames$"):
+        temporal_filter(np.zeros((1, 4, 4)), bank.filters[0])
+
+
 def test_temporal_filter_impulse_response():
     taps = build_packet_filters("haar", 3).filters[2]
     x = np.zeros((32, 1, 1))

@@ -771,6 +771,9 @@ def test_features_on_clip_shorter_than_filter_bank_exits_2(tmp_path, rng, capsys
     (None, "30/0", "invalid fps '30/0'"),
     (None, "x", "invalid fps 'x'"),
     (None, "0", "fps must be positive"),
+    ("H16 F30:1", None, "stream header missing W/H/F tags"),
+    ("W16 F30:1", None, "stream header missing W/H/F tags"),
+    ("W16 H16", None, "stream header missing W/H/F tags"),
 ])
 def test_malformed_size_or_frame_rate_exits_2(tmp_path, capsys, y4m_tags, raw_fps, error):
     if y4m_tags is None:
@@ -786,6 +789,25 @@ def test_malformed_size_or_frame_rate_exits_2(tmp_path, capsys, y4m_tags, raw_fp
     rc = main(["features", str(path), str(path), *extra])
     assert rc == 2
     assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["--width", "--height", "--fps"])
+def test_raw_input_without_its_geometry_or_rate_exits_2(tmp_path, capsys, missing):
+    path = tmp_path / "v.yuv"
+    path.write_bytes(bytes(16 * 16 * 3 // 2))
+    flags = {"--width": "16", "--height": "16", "--fps": "30"}
+    del flags[missing]
+    rc = main(["features", str(path), str(path), *(a for kv in flags.items() for a in kv)])
+    assert rc == 2
+    assert f"{path}: raw YUV input needs --width, --height and --fps" in capsys.readouterr().err
+
+
+def test_header_only_stream_exits_2_with_the_header_end(tmp_path, capsys):
+    path = tmp_path / "v.y4m"
+    path.write_bytes(b"YUV4MPEG2 W4 H4 F30:1 Cmono\n")
+    assert main(["features", str(path), str(path)]) == 2
+    assert (f"{path}: stream contains no frames (header ends at byte 27)"
+            in capsys.readouterr().err)
 
 
 def test_features_accepts_upper_case_y4m_suffix(video_pair, tmp_path, capsys):
@@ -831,6 +853,8 @@ def test_features_into_closed_pipe_exits_141_silently(video_pair, tmp_path, caps
 @pytest.mark.parametrize("chroma", ["C411", "C444alpha", "C420p12", "C420p9", "C420jpegp10"])
 def test_unsupported_chroma_exits_2(tmp_path, capsys, chroma):
     path = tmp_path / "v.y4m"
-    path.write_bytes(f"YUV4MPEG2 W4 H4 F30:1 {chroma}\nFRAME\n".encode() + bytes(64))
+    header = f"YUV4MPEG2 W4 H4 F30:1 {chroma}\n".encode()
+    path.write_bytes(header + b"FRAME\n" + bytes(64))
     assert main(["features", str(path), str(path)]) == 2
-    assert f"unsupported chroma tag {chroma}" in capsys.readouterr().err
+    assert (f"unsupported chroma tag {chroma} (header ends at byte {len(header) - 1})"
+            in capsys.readouterr().err)

@@ -122,6 +122,12 @@ def test_plcc_constant_predictions(rng):
     assert fit.rmse == pytest.approx(dmos.std())
 
 
+@pytest.mark.parametrize("n_pred, n_dmos", [(4, 4), (0, 0), (6, 5)])
+def test_plcc_rejects_fewer_than_5_or_unequal_values(n_pred, n_dmos):
+    with pytest.raises(ValueError, match="^need two equal-length vectors of length >= 5$"):
+        plcc_rmse(np.arange(float(n_pred)), np.arange(float(n_dmos)))
+
+
 def test_logistic_fit_at_least_raw_pearson(rng):
     pred = rng.uniform(0.0, 100.0, size=100)
     dmos = logistic((80.0, 20.0, 40.0, 8.0), pred) \

@@ -95,6 +95,11 @@ def test_alpha_from_sigma_beta():
     assert abs(alpha_from_sigma_beta(1.0, 1.0) - 1.0 / math.sqrt(2.0)) < 1e-12
 
 
+def test_alpha_from_sigma_beta_rejects_negative_sigma():
+    with pytest.raises(ValueError, match="^sigma must be >= 0$"):
+        alpha_from_sigma_beta(-1e-300, 2.0)
+
+
 def test_entropy_closed_forms():
     # Gaussian sigma=1: alpha = sqrt(2), entropy = 0.5*ln(2*pi*e)
     assert abs(ggd_entropy(math.sqrt(2.0), 2.0) - 0.5 * (1 + math.log(2 * math.pi))) <= 1e-10

@@ -79,8 +79,7 @@ def _oracle_features(ref, dist, cfg):
 
 
 @pytest.mark.parametrize("dist_fps", [120, 60, 82])
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_compute_features_matches_per_frame_oracle(dist_fps, jobs):
+def test_compute_features_matches_per_frame_oracle(dist_fps):
     rng = np.random.default_rng(dist_fps)
     # 10-bit-like (non-integer on the 8-bit scale) frames with odd H and W.
     ref = LumaVideo(rng.integers(0, 1024, size=(24, 83, 101)) * (255.0 / 1023.0), 120)
@@ -89,7 +88,24 @@ def test_compute_features_matches_per_frame_oracle(dist_fps, jobs):
     dist = LumaVideo(dist_frames, dist_fps)
     cfg = GreedConfig(scales=(2, 3))
 
-    got = compute_features(ref, dist, cfg, jobs=jobs).values
+    got = compute_features(ref, dist, cfg).values
+    want = _oracle_features(ref, dist, cfg)
+    assert got.shape == want.shape == (16,)
+    assert np.all(want > 0)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("patch", [5, 8])
+def test_pair_past_the_first_block_of_64_rows_matches_per_frame_oracle(patch):
+    # 160 -> 80 frames: every table's band product runs past its first block
+    # of 64 rows, on both sides of the patch-8 boundary of the patch variances.
+    rng = np.random.default_rng(1)
+    ref = rng.integers(0, 256, size=(160, 48, 48)).astype(np.uint8)
+    dist = np.clip(ref[::2] + rng.integers(-20, 21, size=(80, 48, 48)), 0, 255)
+    ref, dist = LumaVideo(ref, 60), LumaVideo(dist.astype(np.uint8), 30)
+    cfg = GreedConfig(scales=(1, 2), patch_size=patch)
+
+    got = compute_features(ref, dist, cfg).values
     want = _oracle_features(ref, dist, cfg)
     assert got.shape == want.shape == (16,)
     assert np.all(want > 0)

@@ -138,6 +138,12 @@ def test_grid_search_single_point(rng):
     assert grid_search((X, y), (X, y), grid=[(7.0, 0.3, 0.25)]) == (7.0, 0.3, 0.25)
 
 
+def test_grid_search_rejects_an_empty_grid(rng):
+    X, y = _toy_problem(rng, n=20)
+    with pytest.raises(ValueError, match="^empty hyperparameter grid$"):
+        grid_search((X, y), (X, y), grid=[])
+
+
 def test_grid_search_recovers_useful_setting(rng):
     X, y = _toy_problem(rng, n=80)
     X_val, y_val = _toy_problem(rng, n=40)

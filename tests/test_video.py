@@ -40,7 +40,8 @@ def test_load_y4m_truncated_frame(tmp_path):
 def test_load_y4m_unsupported_chroma(tmp_path):
     path = tmp_path / "v.y4m"
     path.write_bytes(b"YUV4MPEG2 W4 H4 F30:1 C411\nFRAME\n" + b"\x00" * 48)
-    with pytest.raises(VideoFormatError, match="unsupported chroma"):
+    with pytest.raises(VideoFormatError,
+                       match=r"unsupported chroma tag C411 \(header ends at byte 26\)$"):
         load_y4m(path)
 
 
@@ -72,6 +73,18 @@ def test_load_raw_yuv_truncated(tmp_path):
     path.write_bytes(bytes(383))
     with pytest.raises(VideoFormatError, match="truncated"):
         load_raw_yuv(path, 16, 8, 30)
+
+
+@pytest.mark.parametrize("width, height", [(0, 8), (16, 0), (-16, 8)])
+def test_load_raw_yuv_rejects_non_positive_size(width, height):
+    # The size is checked before the file is opened.
+    with pytest.raises(ValueError, match=f"^invalid dimensions {width}x{height}$"):
+        load_raw_yuv("unread.yuv", width, height, 30)
+
+
+def test_load_raw_yuv_rejects_unknown_pixel_format():
+    with pytest.raises(VideoFormatError, match="^unsupported pixel format 'yuv422p'$"):
+        load_raw_yuv("unread.yuv", 16, 8, 30, pixel_format="yuv422p")
 
 
 def test_raw_and_y4m_agree(tmp_path):
@@ -385,6 +398,12 @@ def test_video_rejects_non_finite_frames(bad):
     with pytest.raises(ValueError, match="frames must be finite"):
         LumaVideo(frames, 30)
     assert LumaVideo(np.zeros((2, 4, 4), dtype=np.uint8), 30).num_frames == 2
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (1, 2, 4, 4), (0, 4, 4)])
+def test_video_rejects_frames_that_are_not_a_non_empty_stack(shape):
+    with pytest.raises(ValueError, match=r"^frames must be a non-empty \(T, H, W\) array$"):
+        LumaVideo(np.zeros(shape), 30)
 
 
 @pytest.mark.parametrize("fps", [float("inf"), float("-inf")])
